@@ -17,18 +17,18 @@
 //
 // Serve mode: an overload-robust verification service over simulated
 // call arrivals. The admission queue bounds intake (over-capacity
-// arrivals shed with typed errors), SIGTERM/SIGINT triggers a graceful
-// drain bounded by -drain-budget, and unfinished sessions are
-// checkpointed to -checkpoint for the next run to resume:
+// arrivals shed with typed errors), and SIGTERM/SIGINT triggers a
+// graceful drain bounded by -drain-budget:
 //
-//	vcguard serve -sessions 50 -workers 2 -queue 8 -checkpoint drain.json
+//	vcguard serve -sessions 50 -workers 2 -queue 8
 //
-// With -state-dir, serve becomes crash-safe: calls run as resumable
-// segments whose stream-detector state parks in a tiered session store,
-// checkpointed atomically to the directory on a cadence. A restart — or
-// a crash, SIGKILL included — rehydrates the parked calls and carries
-// them to verdicts; damaged state surfaces as typed corrupt-record
-// reports, never a panic:
+// With -state-dir, serve becomes crash-safe and restartable: calls run
+// as resumable segments whose stream-detector state parks in a tiered
+// session store, checkpointed atomically to the directory on a cadence
+// and once more after the drain, so sessions the drain cut off are
+// parked too. A restart — or a crash, SIGKILL included — rehydrates the
+// parked calls and carries them to verdicts; damaged state surfaces as
+// typed corrupt-record reports, never a panic:
 //
 //	vcguard serve -sessions 50 -state-dir /var/lib/vcguard
 //
@@ -97,7 +97,7 @@ func usage() {
 	fmt.Fprintln(os.Stderr, "usage: vcguard demo [-rounds N] [-seed N] [-metrics ADDR]")
 	fmt.Fprintln(os.Stderr, "       vcguard train -traces FILE -out FILE [-metrics ADDR]")
 	fmt.Fprintln(os.Stderr, "       vcguard detect (-train FILE | -model FILE) -test FILE [-metrics ADDR]")
-	fmt.Fprintln(os.Stderr, "       vcguard serve [-sessions N] [-workers N] [-queue N] [-rate R] [-drain-budget D] [-checkpoint FILE] [-state-dir DIR] [-segment-sec N] [-checkpoint-every D] [-pace D] [-seed N] [-metrics ADDR]")
+	fmt.Fprintln(os.Stderr, "       vcguard serve [-sessions N] [-workers N] [-queue N] [-rate R] [-drain-budget D] [-judge stream|batch] [-session-sec N] [-state-dir DIR] [-segment-sec N] [-checkpoint-every D] [-pace D] [-seed N] [-metrics ADDR]")
 	fmt.Fprintln(os.Stderr, "       vcguard cluster [-instances N] [-policy P] [-sessions N] [-seed N] [-rate R] [-drain-at S] [-drain-instance N] [-counterfactual] [-trace FILE] [-live] [-metrics ADDR]")
 }
 

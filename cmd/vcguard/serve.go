@@ -23,8 +23,8 @@ import (
 // runServe is the overload-robust service mode: a scheduler with
 // admission control verifies a stream of simulated calls until the work
 // runs out or SIGTERM/SIGINT arrives, then drains gracefully within
-// -drain-budget and checkpoints whatever did not finish so the next run
-// can pick those sessions back up.
+// -drain-budget. With -state-dir, drain-time cancellations park their
+// detector state and the next run resumes them (see runServeState).
 func runServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	sessions := fs.Int("sessions", 20, "number of simulated call sessions to verify")
@@ -32,7 +32,6 @@ func runServe(args []string) error {
 	queue := fs.Int("queue", 8, "admission queue capacity (arrivals beyond it are shed)")
 	rate := fs.Float64("rate", 0, "admission rate limit in sessions/sec (0 = unlimited)")
 	drainBudget := fs.Duration("drain-budget", 10*time.Second, "how long a graceful drain may take")
-	checkpoint := fs.String("checkpoint", "", "path for the drain checkpoint; existing sessions there are re-verified first")
 	judgeMode := fs.String("judge", "stream", "verdict engine: stream (incremental per-hop verdicts over the live session) or batch (one verdict per 15 s window, majority-voted)")
 	sessionSec := fs.Float64("session-sec", 30, "simulated call length in seconds; the stream judge needs warmup plus one full window (18 s at defaults) before its first verdict")
 	stateDir := fs.String("state-dir", "", "directory for crash-safe session state; calls run as resumable segments, parked state is checkpointed there, and a restart rehydrates it (stream judge only)")
@@ -159,21 +158,6 @@ func runServe(args []string) error {
 		return err
 	}
 
-	// Recover sessions an earlier run checkpointed at drain time.
-	var ids []string
-	if *checkpoint != "" {
-		if cp, err := guard.LoadCheckpointFile(*checkpoint); err == nil {
-			fmt.Printf("recovering %d checkpointed sessions from %s (saved %s)\n",
-				len(cp.Sessions), *checkpoint, cp.SavedAt.Format(time.RFC3339))
-			ids = append(ids, cp.Sessions...)
-		} else if !errors.Is(err, os.ErrNotExist) {
-			fmt.Fprintf(os.Stderr, "vcguard: ignoring unreadable checkpoint: %v\n", err)
-		}
-	}
-	for i := 0; i < *sessions; i++ {
-		ids = append(ids, fmt.Sprintf("call-%d", i))
-	}
-
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
 	defer stop()
 
@@ -183,10 +167,11 @@ func runServe(args []string) error {
 	}
 	var pending []outcome
 	submitted, shedCount := 0, 0
-	for i, id := range ids {
+	for i := 0; i < *sessions; i++ {
 		if ctx.Err() != nil {
 			break // signal received: stop admitting new work
 		}
+		id := fmt.Sprintf("call-%d", i)
 		req, err := serveRequest(id, *seed+int64(i), *sessionSec)
 		if err != nil {
 			return err
@@ -220,15 +205,6 @@ func runServe(args []string) error {
 	}
 	if len(unfinished) > 0 {
 		fmt.Printf("drain budget expired with %d unfinished sessions\n", len(unfinished))
-		if *checkpoint != "" {
-			if err := guard.SaveCheckpointFile(*checkpoint, guard.Checkpoint{
-				SavedAt:  time.Now(),
-				Sessions: unfinished,
-			}); err != nil {
-				return err
-			}
-			fmt.Printf("checkpointed to %s; rerun with the same -checkpoint to resume\n", *checkpoint)
-		}
 	}
 
 	completed, failed := 0, 0
@@ -252,8 +228,12 @@ func runServe(args []string) error {
 					attacker++
 				}
 			}
+			flagged, err := det.CombineVerdicts(v)
+			if err != nil {
+				return err
+			}
 			fmt.Printf("  %s: %d windows (%d attacker votes) flagged=%v\n",
-				p.id, len(v), attacker, attacker*2 > len(v))
+				p.id, len(v), attacker, flagged)
 		}
 	}
 	fmt.Printf("\nsubmitted %d, completed %d, failed/drained %d, shed %d, unfinished %d\n",

@@ -1,10 +1,10 @@
 // Deployment: the full production lifecycle of the detector — enroll from
 // trusted sessions (with the enrollment-quality gate), persist the trained
 // model, reload it in a fresh process, run continuous verification
-// through the streaming Monitor with majority voting and inconclusive-
-// window handling, and finally stand up the observability endpoint and
-// scrape one snapshot the way a collector would (see OBSERVABILITY.md
-// for the metric catalog this walks through).
+// through the incremental StreamDetector with majority voting and
+// inconclusive-hop handling, and finally stand up the observability
+// endpoint and scrape one snapshot the way a collector would (see
+// OBSERVABILITY.md for the metric catalog this walks through).
 //
 //	go run ./examples/deployment
 package main
@@ -58,40 +58,43 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	monitor, err := loaded.NewMonitor(guard.DefaultMonitorConfig())
+	stream, err := loaded.NewStreamDetector(guard.DefaultStreamConfig())
 	if err != nil {
 		return err
 	}
 
-	// Stream three windows of an attacker's session through the monitor.
+	// Stream 45 s of an attacker's call: a verdict every 0.5 s over the
+	// trailing 15 s window, printed every 5 s.
 	fmt.Println("\nverifying an incoming call (reenactment attacker)...")
+	hops := 0
 	for w := int64(0); w < 3; w++ {
 		session, err := guard.Simulate(guard.SimOptions{Seed: 400 + w, Peer: guard.PeerReenact})
 		if err != nil {
 			return err
 		}
 		for i := range session.T {
-			result, err := monitor.Push(session.T[i], session.R[i])
-			if err != nil {
-				return err
-			}
+			result := stream.Push(guard.StreamSample{Transmitted: session.T[i], Received: session.R[i]})
 			if result == nil {
 				continue
 			}
-			if result.Inconclusive {
-				fmt.Printf("  window: inconclusive (%s)\n", result.Reason)
+			if hops++; hops%10 != 0 {
 				continue
 			}
-			fmt.Printf("  window: score %6.2f  challenges %d  attacker=%v\n",
+			if result.Inconclusive {
+				fmt.Printf("  hop: inconclusive (%s)\n", result.Reason)
+				continue
+			}
+			fmt.Printf("  hop: score %6.2f  challenges %d  attacker=%v\n",
 				result.Verdict.Score, result.Challenges, result.Verdict.Attacker)
 		}
 	}
-	conclusive, inconclusive := monitor.Windows()
-	flagged, err := monitor.Flagged()
+	stream.Finish()
+	conclusive, inconclusive := stream.Windows()
+	flagged, err := stream.Flagged()
 	if err != nil {
 		return err
 	}
-	fmt.Printf("\n%d conclusive / %d inconclusive windows; running vote: attacker=%v\n",
+	fmt.Printf("\n%d conclusive / %d inconclusive hops; running vote: attacker=%v\n",
 		conclusive, inconclusive, flagged)
 	if !flagged {
 		return fmt.Errorf("expected the attacker stream to be flagged")
@@ -133,9 +136,9 @@ func scrapeMetrics() error {
 	}
 	report("verdicts (all outcomes):", "guard_verdicts_total")
 	report("windows abstained (by reason):", "guard_windows_inconclusive_total")
-	stages, _ := snap.Histogram(`core_stage_seconds{stage="features"}`)
+	hopLatency, _ := snap.Histogram("guard_stream_hop_seconds")
 	fmt.Printf("  %-34s %d observations, %.2f ms total\n",
-		"feature-extraction latency:", stages.Count, 1e3*stages.Sum)
+		"per-hop judge latency:", hopLatency.Count, 1e3*hopLatency.Sum)
 	fmt.Printf("  %-34s %d retained / %d recorded\n", "trace spans:", len(snap.Spans), snap.SpansTotal)
 	return nil
 }

@@ -59,210 +59,135 @@ func TestTrainRejectsNonFinite(t *testing.T) {
 	}
 }
 
-// --- Monitor inconclusive paths, pinning Reason codes and strings ---
+// --- StreamDetector quality gates, pinning Reason codes and strings ---
 
-// pushSession streams a simulated session into the monitor.
-func pushSession(t *testing.T, m *Monitor, seed int64, mutate func(i int, s *StreamSample)) *WindowResult {
+// genuineSamples turns a simulated genuine session into stream samples,
+// letting mutate inject capture faults tick by tick.
+func genuineSamples(t *testing.T, seed int64, mutate func(i int, s *StreamSample)) []StreamSample {
 	t.Helper()
 	sess, err := Simulate(SimOptions{Seed: seed, Peer: PeerGenuine})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var last *WindowResult
+	out := make([]StreamSample, len(sess.T))
 	for i := range sess.T {
-		s := StreamSample{Transmitted: sess.T[i], Received: sess.R[i]}
+		out[i] = StreamSample{Transmitted: sess.T[i], Received: sess.R[i]}
 		if mutate != nil {
-			mutate(i, &s)
-		}
-		res, err := m.PushSample(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res != nil {
-			last = res
+			mutate(i, &out[i])
 		}
 	}
-	return last
+	return out
 }
 
-func newTestMonitor(t *testing.T, det *Detector, cfg MonitorConfig) *Monitor {
-	t.Helper()
-	m, err := det.NewMonitor(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
-}
-
-func TestMonitorInconclusiveNoChallenge(t *testing.T) {
+// TestStreamQualityGates drives each capture-quality gate of the stream
+// judge. HopSamples = WindowSamples judges every 150-tick session as one
+// window, and the last window of each stream must carry the pinned code
+// and label.
+func TestStreamQualityGates(t *testing.T) {
 	det := trainDetector(t)
-	m := newTestMonitor(t, det, MonitorConfig{WindowSamples: 150, MinChallenges: 1})
-	var last *WindowResult
-	for i := 0; i < 150; i++ {
-		res, err := m.Push(100, 90)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res != nil {
-			last = res
-		}
+	flat := make([]StreamSample, 150)
+	for i := range flat {
+		flat[i] = StreamSample{Transmitted: 100, Received: 90}
 	}
-	if last == nil || !last.Inconclusive {
-		t.Fatalf("flat window conclusive: %+v", last)
+	staleEveryOther := func(i int, s *StreamSample) { s.Stale = i%2 == 1 }
+	cases := []struct {
+		name     string
+		maxStale float64
+		samples  []StreamSample
+		want     ReasonCode
+		label    string // pinned Reason prefix of an inconclusive window
+		check    func(t *testing.T, res []WindowResult)
+	}{
+		{
+			// A flat transmitted signal means the verifier never challenged.
+			name: "no_challenge", samples: flat, want: ReasonNoChallenge, label: "no challenge",
+			check: func(t *testing.T, res []WindowResult) {
+				if q := res[len(res)-1].Quality; q != 1 {
+					t.Errorf("clean flat window quality = %v, want 1", q)
+				}
+			},
+		},
+		{
+			// Every third tick delivers nothing.
+			name: "gap_ratio", want: ReasonGapRatio, label: "gap ratio",
+			samples: genuineSamples(t, 51, func(i int, s *StreamSample) {
+				if i%3 == 0 {
+					s.Transmitted, s.Received = math.NaN(), math.NaN()
+				}
+			}),
+			check: func(t *testing.T, res []WindowResult) {
+				last := res[len(res)-1]
+				if last.Quality >= 0.8 {
+					t.Errorf("quality = %v for a window with ~33%% gaps", last.Quality)
+				}
+				if last.Gaps == 0 {
+					t.Error("gap count not reported")
+				}
+			},
+		},
+		{
+			// A 6-second landmark outage.
+			name: "landmark_loss", want: ReasonLandmarkLoss, label: "landmark loss",
+			samples: genuineSamples(t, 52, func(i int, s *StreamSample) { s.LandmarkLost = i >= 30 && i < 90 }),
+		},
+		{
+			// 75/150 stale ticks sit exactly at the bound: still judged.
+			name: "stale_at_bound", maxStale: 0.5, want: ReasonNone,
+			samples: genuineSamples(t, 53, staleEveryOther),
+		},
+		{
+			name: "stale_over_bound", maxStale: 0.3, want: ReasonStale, label: "stale samples",
+			samples: genuineSamples(t, 53, staleEveryOther),
+		},
+		{
+			// A clean window after a degraded one: per-window tallies must
+			// not leak into the next window.
+			name: "clean_after_degraded", want: ReasonNone,
+			samples: append(
+				genuineSamples(t, 55, func(i int, s *StreamSample) { s.LandmarkLost = i%2 == 0 }),
+				genuineSamples(t, 56, nil)...),
+			check: func(t *testing.T, res []WindowResult) {
+				if len(res) != 2 || res[0].Code != ReasonLandmarkLoss {
+					t.Fatalf("results = %+v, want a landmark-loss window first", res)
+				}
+				if q := res[1].Quality; q != 1 {
+					t.Errorf("clean window quality = %v, want 1", q)
+				}
+			},
+		},
 	}
-	if last.Code != ReasonNoChallenge {
-		t.Errorf("code = %v, want ReasonNoChallenge", last.Code)
-	}
-	if !strings.HasPrefix(last.Reason, "no challenge") {
-		t.Errorf("reason %q does not start with pinned label %q", last.Reason, "no challenge")
-	}
-	if last.Quality != 1 {
-		t.Errorf("clean flat window quality = %v, want 1", last.Quality)
-	}
-}
-
-func TestMonitorInconclusiveGapHeavy(t *testing.T) {
-	det := trainDetector(t)
-	m := newTestMonitor(t, det, MonitorConfig{WindowSamples: 150, MaxGapRatio: 0.2})
-	// Stall a third of the window: every third tick delivers nothing.
-	last := pushSession(t, m, 51, func(i int, s *StreamSample) {
-		if i%3 == 0 {
-			s.Transmitted = math.NaN()
-			s.Received = math.NaN()
-		}
-	})
-	if last == nil || !last.Inconclusive {
-		t.Fatalf("gap-heavy window conclusive: %+v", last)
-	}
-	if last.Code != ReasonGapRatio {
-		t.Errorf("code = %v, want ReasonGapRatio", last.Code)
-	}
-	if !strings.HasPrefix(last.Reason, "gap ratio") {
-		t.Errorf("reason %q does not start with pinned label %q", last.Reason, "gap ratio")
-	}
-	if last.Quality >= 0.8 {
-		t.Errorf("quality = %v for a window with ~33%% gaps", last.Quality)
-	}
-	if last.Gaps == 0 {
-		t.Error("gap count not reported")
-	}
-}
-
-func TestMonitorInconclusiveLandmarkLoss(t *testing.T) {
-	det := trainDetector(t)
-	m := newTestMonitor(t, det, MonitorConfig{WindowSamples: 150, MaxGapRatio: 0.2})
-	last := pushSession(t, m, 52, func(i int, s *StreamSample) {
-		if i >= 30 && i < 90 { // a 6-second landmark outage
-			s.LandmarkLost = true
-		}
-	})
-	if last == nil || !last.Inconclusive {
-		t.Fatalf("landmark-outage window conclusive: %+v", last)
-	}
-	if last.Code != ReasonLandmarkLoss {
-		t.Errorf("code = %v, want ReasonLandmarkLoss", last.Code)
-	}
-	if !strings.HasPrefix(last.Reason, "landmark loss") {
-		t.Errorf("reason %q does not start with pinned label %q", last.Reason, "landmark loss")
-	}
-}
-
-func TestMonitorInconclusiveStale(t *testing.T) {
-	det := trainDetector(t)
-	m := newTestMonitor(t, det, MonitorConfig{WindowSamples: 150, MaxStaleRatio: 0.5})
-	last := pushSession(t, m, 53, func(i int, s *StreamSample) {
-		if i%2 == 1 { // frozen stream: every other frame is a repeat
-			s.Stale = true
-		}
-	})
-	// 75/150 = exactly the bound; push one more stale-heavy config.
-	if last != nil && last.Inconclusive && last.Code == ReasonStale {
-		t.Fatalf("stale ratio at the bound should still judge, got %+v", last)
-	}
-	m2 := newTestMonitor(t, det, MonitorConfig{WindowSamples: 150, MaxStaleRatio: 0.3})
-	last = pushSession(t, m2, 53, func(i int, s *StreamSample) {
-		if i%2 == 1 {
-			s.Stale = true
-		}
-	})
-	if last == nil || !last.Inconclusive {
-		t.Fatalf("stale-heavy window conclusive: %+v", last)
-	}
-	if last.Code != ReasonStale {
-		t.Errorf("code = %v, want ReasonStale", last.Code)
-	}
-	if !strings.HasPrefix(last.Reason, "stale samples") {
-		t.Errorf("reason %q does not start with pinned label %q", last.Reason, "stale samples")
-	}
-}
-
-func TestMonitorFlushShortWindow(t *testing.T) {
-	det := trainDetector(t)
-	m := newTestMonitor(t, det, MonitorConfig{WindowSamples: 150})
-	for i := 0; i < 40; i++ { // less than half a window
-		if _, err := m.Push(100, 90); err != nil {
-			t.Fatal(err)
-		}
-	}
-	res := m.Flush()
-	if res == nil || !res.Inconclusive {
-		t.Fatalf("short flush conclusive: %+v", res)
-	}
-	if res.Code != ReasonShortWindow {
-		t.Errorf("code = %v, want ReasonShortWindow", res.Code)
-	}
-	if !strings.HasPrefix(res.Reason, "short window") {
-		t.Errorf("reason %q does not start with pinned label %q", res.Reason, "short window")
-	}
-	if m.Flush() != nil {
-		t.Error("second flush on empty buffer returned a result")
-	}
-	_, inconclusive := m.Windows()
-	if inconclusive != 1 {
-		t.Errorf("inconclusive count = %d, want 1", inconclusive)
-	}
-}
-
-func TestMonitorFlushJudgesViablePartial(t *testing.T) {
-	det := trainDetector(t)
-	m := newTestMonitor(t, det, MonitorConfig{WindowSamples: 150, MinChallenges: 1})
-	sess, err := Simulate(SimOptions{Seed: 54, Peer: PeerGenuine})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 100; i++ { // two thirds of a window: viable
-		if _, err := m.Push(sess.T[i], sess.R[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	res := m.Flush()
-	if res == nil {
-		t.Fatal("viable partial window not judged")
-	}
-	if res.Code == ReasonShortWindow {
-		t.Errorf("100/150 samples flushed as short window: %+v", res)
-	}
-}
-
-func TestMonitorGapsDoNotPoisonNextWindow(t *testing.T) {
-	det := trainDetector(t)
-	m := newTestMonitor(t, det, MonitorConfig{WindowSamples: 150, MaxGapRatio: 0.2})
-	// First window: gap-heavy. Second window: clean genuine stream.
-	first := pushSession(t, m, 55, func(i int, s *StreamSample) {
-		s.LandmarkLost = i%2 == 0
-	})
-	if first == nil || first.Code != ReasonLandmarkLoss {
-		t.Fatalf("first window = %+v, want landmark loss", first)
-	}
-	second := pushSession(t, m, 56, nil)
-	if second == nil {
-		t.Fatal("second window did not complete")
-	}
-	if second.Inconclusive {
-		t.Fatalf("clean window after degraded one judged inconclusive: %s", second.Reason)
-	}
-	if second.Quality != 1 {
-		t.Errorf("clean window quality = %v, want 1 (per-window counters must reset)", second.Quality)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sd, err := det.NewStreamDetector(StreamConfig{
+				WindowSamples: 150, HopSamples: 150, MinChallenges: 1, MaxStaleRatio: tc.maxStale,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, s := range tc.samples {
+				sd.Push(s)
+			}
+			sd.Finish()
+			res := sd.Results()
+			if len(res) == 0 {
+				t.Fatal("no window judged")
+			}
+			last := res[len(res)-1]
+			if last.Code != tc.want || last.Inconclusive != (tc.want != ReasonNone) {
+				t.Fatalf("last window = %+v, want code %v", last, tc.want)
+			}
+			if !strings.HasPrefix(last.Reason, tc.label) {
+				t.Errorf("reason %q does not start with pinned label %q", last.Reason, tc.label)
+			}
+			if conclusive, _ := sd.Windows(); conclusive == 0 {
+				if _, err := sd.Flagged(); err == nil {
+					t.Error("Flagged succeeded with zero conclusive windows")
+				}
+			}
+			if tc.check != nil {
+				tc.check(t, res)
+			}
+		})
 	}
 }
 
@@ -274,7 +199,6 @@ func TestReasonCodeStrings(t *testing.T) {
 		ReasonGapRatio:     "gap ratio",
 		ReasonLandmarkLoss: "landmark loss",
 		ReasonStale:        "stale samples",
-		ReasonShortWindow:  "short window",
 	}
 	for code, label := range want {
 		if code.String() != label {

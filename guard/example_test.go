@@ -99,8 +99,8 @@ func ExampleDetector_Batch() {
 	// window 2 attacker: false
 }
 
-// Stream samples through a Monitor for continuous verification.
-func ExampleMonitor() {
+// Judge a live call hop by hop with the incremental stream engine.
+func ExampleDetector_NewStreamDetector() {
 	training, err := guard.SimulateMany(guard.SimOptions{Seed: 1, Peer: guard.PeerGenuine}, 20)
 	if err != nil {
 		log.Fatal(err)
@@ -109,27 +109,31 @@ func ExampleMonitor() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	monitor, err := detector.NewMonitor(guard.MonitorConfig{
-		WindowSamples: 150, // 15 s at 10 Hz
-		MinChallenges: 1,
-	})
+	// A verdict every 0.5 s over the trailing 15 s window.
+	stream, err := detector.NewStreamDetector(guard.DefaultStreamConfig())
 	if err != nil {
 		log.Fatal(err)
 	}
-	session, err := guard.Simulate(guard.SimOptions{Seed: 7, Peer: guard.PeerGenuine})
-	if err != nil {
-		log.Fatal(err)
-	}
-	for i := range session.T {
-		result, err := monitor.Push(session.T[i], session.R[i])
+	// Three simulated 15 s sessions back to back: a 45 s genuine call.
+	for seed := int64(7); seed < 10; seed++ {
+		session, err := guard.Simulate(guard.SimOptions{Seed: seed, Peer: guard.PeerGenuine})
 		if err != nil {
 			log.Fatal(err)
 		}
-		if result != nil && !result.Inconclusive {
-			fmt.Println("window attacker:", result.Verdict.Attacker)
+		for i := range session.T {
+			stream.Push(guard.StreamSample{Transmitted: session.T[i], Received: session.R[i]})
 		}
 	}
-	// Output: window attacker: false
+	stream.Finish()
+	flagged, err := stream.Flagged()
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println("hops judged:", len(stream.Results()))
+	fmt.Println("flagged:", flagged)
+	// Output:
+	// hops judged: 55
+	// flagged: false
 }
 
 // Persist a trained detector and reload it elsewhere.

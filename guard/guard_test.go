@@ -136,6 +136,14 @@ func TestCombineVerdicts(t *testing.T) {
 	if flagged {
 		t.Error("1/3 votes should not flag")
 	}
+	// A simple majority is not enough: 2 > 0.7·3 is false.
+	flagged, err = det.CombineVerdicts([]Verdict{mk(true), mk(true), mk(false)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if flagged {
+		t.Error("2/3 votes should not flag under the 0.7·D rule")
+	}
 	if _, err := det.CombineVerdicts(nil); err == nil {
 		t.Error("empty verdicts accepted")
 	}

@@ -21,7 +21,7 @@ var (
 		"guard_train_seconds", "End-to-end Train latency.", obs.LatencyBuckets())
 
 	metricDetectTotal = obs.Default.Counter(
-		"guard_detect_total", "Detect calls (direct, trace, batch and monitor paths included).")
+		"guard_detect_total", "Detect calls (direct, trace, batch and DetectSamples paths included).")
 	metricDetectErrors = obs.Default.Counter(
 		"guard_detect_errors_total", "Detect calls rejected with an error (non-finite input, extraction failure).")
 	metricDetectSeconds = obs.Default.Histogram(
@@ -33,7 +33,7 @@ var (
 	verdictGenuine  = metricVerdicts.With("genuine")
 
 	metricWindowsConclusive = obs.Default.Counter(
-		"guard_windows_conclusive_total", "Quality-gated windows that produced a verdict (Monitor and DetectSamples).")
+		"guard_windows_conclusive_total", "Quality-gated windows that produced a verdict (StreamDetector hops and DetectSamples).")
 	metricWindowsInconclusive = obs.Default.CounterVec(
 		"guard_windows_inconclusive_total", "Windows abstained from, by ReasonCode.", "reason")
 	metricWindowQuality = obs.Default.Histogram(
@@ -45,17 +45,12 @@ var (
 		"guard_panics_recovered_total", "Panics contained to one window/session, by recovery site.", "site")
 
 	metricStageTimeouts = obs.Default.Counter(
-		"guard_stage_timeouts_total", "Detection stages abandoned past their Guardrails budget (the stuck goroutine is orphaned, the window reports overload).")
+		"guard_stage_timeouts_total", "Batch detection stages abandoned past their Guardrails budget (the stuck goroutine is orphaned, the window errs with ErrStageTimeout).")
 
 	metricStreamHops = obs.Default.Counter(
 		"guard_stream_hops_total", "Hop windows judged by the incremental StreamDetector.")
 	metricStreamHopSeconds = obs.Default.Histogram(
 		"guard_stream_hop_seconds", "Per-hop judge latency on the incremental path (window copy, peaks, features, LOF).", obs.LatencyBuckets())
-
-	metricCheckpointSaves = obs.Default.Counter(
-		"guard_checkpoint_saved_total", "Drain checkpoints written (SaveCheckpoint and SaveCheckpointFile).")
-	metricCheckpointSessions = obs.Default.Counter(
-		"guard_checkpoint_sessions_total", "Unfinished session IDs recorded across all saved drain checkpoints.")
 )
 
 // reasonLabel turns a ReasonCode's stable string into a label value
@@ -64,7 +59,7 @@ func reasonLabel(c ReasonCode) string {
 	return strings.ReplaceAll(c.String(), " ", "_")
 }
 
-// recordWindow feeds one quality-gated window result (Monitor or
+// recordWindow feeds one quality-gated window result (StreamDetector or
 // DetectSamples) into the abstention counters and the quality histogram.
 func recordWindow(res *WindowResult) {
 	metricWindowQuality.Observe(res.Quality)

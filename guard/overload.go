@@ -1,13 +1,10 @@
 package guard
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
 	"repro/internal/admission"
-	"repro/internal/core"
-	"repro/internal/features"
 )
 
 // ErrStageTimeout reports a detection stage abandoned past its budget.
@@ -32,23 +29,24 @@ type Guardrails struct {
 	Breaker *admission.Breaker
 }
 
-// overloaded reports whether err is an overload symptom (breaker open or
-// stage budget exceeded) rather than a data problem.
-func overloaded(err error) bool {
-	return errors.Is(err, admission.ErrBreakerOpen) || errors.Is(err, ErrStageTimeout)
-}
-
 // stageResult carries a stage outcome across the budget goroutine.
 type stageResult struct {
 	v        Verdict
 	err      error
 	panicked bool
+	elapsed  time.Duration // since the budget started, measured as the stage returned
 }
 
 // runStage executes one window's detection under the guardrails.
 // Breaker accounting: a panic or timeout is a stage failure; a clean run
 // or an ordinary input error is a success (a malformed window says
 // nothing about the stage's health).
+//
+// A result that lands past the budget counts as an overrun whichever
+// select case wins: when the result and the timer are both ready, Go
+// picks either, so the stage's measured duration decides. The budget
+// starts before the stage goroutine spawns, so the timer never starts
+// later than the stage it bounds.
 func runStage(g Guardrails, i int, detect func(i int) (Verdict, error)) (Verdict, error) {
 	if g.Breaker != nil {
 		if err := g.Breaker.Allow(); err != nil {
@@ -60,23 +58,26 @@ func runStage(g Guardrails, i int, detect func(i int) (Verdict, error)) (Verdict
 		g.feed(panicked)
 		return v, err
 	}
+	start := time.Now() //lint:ignore vclint/nodeterm the stage budget is a wall-clock bound by definition; the clock decides only whether a window is shed, never its verdict
+	timer := time.NewTimer(g.Budget)
+	defer timer.Stop()
 	ch := make(chan stageResult, 1)
 	//lint:ignore vclint/goleak deliberately detached: on a budget overrun the stage goroutine is orphaned by design (the DSP chain takes no context); the buffered channel guarantees its send never blocks, so it exits as soon as the call returns
 	go func() {
 		v, err, panicked := safeDetect(detect, i)
-		ch <- stageResult{v: v, err: err, panicked: panicked}
+		ch <- stageResult{v: v, err: err, panicked: panicked, elapsed: time.Since(start)} //lint:ignore vclint/nodeterm measures the stage against its wall-clock budget; the verdict itself is clock-free
 	}()
-	timer := time.NewTimer(g.Budget)
-	defer timer.Stop()
 	select {
 	case res := <-ch:
-		g.feed(res.panicked)
-		return res.v, res.err
+		if res.elapsed <= g.Budget {
+			g.feed(res.panicked)
+			return res.v, res.err
+		}
 	case <-timer.C:
-		metricStageTimeouts.Inc()
-		g.feed(true)
-		return Verdict{}, fmt.Errorf("guard: batch window %d: %w (budget %v)", i, ErrStageTimeout, g.Budget)
 	}
+	metricStageTimeouts.Inc()
+	g.feed(true)
+	return Verdict{}, fmt.Errorf("guard: batch window %d: %w (budget %v)", i, ErrStageTimeout, g.Budget)
 }
 
 // feed reports one stage outcome to the breaker, if any.
@@ -105,74 +106,4 @@ func safeDetect(detect func(i int) (Verdict, error), i int) (v Verdict, err erro
 	}()
 	v, err = detect(i)
 	return v, err, false
-}
-
-// monitorStage carries the detailed DSP outcome across the monitor's
-// budget goroutine.
-type monitorStage struct {
-	dec      core.Decision
-	detail   features.Detail
-	err      error
-	panicked bool
-}
-
-// detectStage runs the monitor's DSP stage under the configured breaker
-// and budget. With a positive StageBudget the window buffers are copied
-// first: on a timeout the orphaned goroutine keeps reading its inputs
-// while the monitor reuses the live buffers for the next window.
-func (m *Monitor) detectStage() (core.Decision, features.Detail, error) {
-	if m.cfg.Breaker != nil {
-		if err := m.cfg.Breaker.Allow(); err != nil {
-			return core.Decision{}, features.Detail{}, err
-		}
-	}
-	if m.cfg.StageBudget <= 0 {
-		res := m.runDSP(m.tx, m.rx)
-		m.feedBreaker(res.panicked)
-		return res.dec, res.detail, res.err
-	}
-	tx := append([]float64(nil), m.tx...)
-	rx := append([]float64(nil), m.rx...)
-	ch := make(chan monitorStage, 1)
-	//lint:ignore vclint/goleak deliberately detached: a timed-out DSP stage is orphaned with copied buffers and a buffered result channel, so it runs to completion and exits without blocking the monitor
-	go func() { ch <- m.runDSP(tx, rx) }()
-	timer := time.NewTimer(m.cfg.StageBudget)
-	defer timer.Stop()
-	select {
-	case res := <-ch:
-		m.feedBreaker(res.panicked)
-		return res.dec, res.detail, res.err
-	case <-timer.C:
-		metricStageTimeouts.Inc()
-		m.feedBreaker(true)
-		return core.Decision{}, features.Detail{},
-			fmt.Errorf("%w (budget %v)", ErrStageTimeout, m.cfg.StageBudget)
-	}
-}
-
-// runDSP invokes the feature pipeline with panic containment.
-func (m *Monitor) runDSP(tx, rx []float64) (res monitorStage) {
-	defer func() {
-		if r := recover(); r != nil {
-			metricPanics.With("monitor").Inc()
-			res = monitorStage{
-				err:      fmt.Errorf("guard: DSP stage panicked: %v", r),
-				panicked: true,
-			}
-		}
-	}()
-	dec, detail, err := m.det.det.DetectSignalsDetailed(tx, rx)
-	return monitorStage{dec: dec, detail: detail, err: err}
-}
-
-// feedBreaker reports one DSP-stage outcome to the monitor's breaker.
-func (m *Monitor) feedBreaker(failed bool) {
-	if m.cfg.Breaker == nil {
-		return
-	}
-	if failed {
-		m.cfg.Breaker.Failure()
-		return
-	}
-	m.cfg.Breaker.Success()
 }

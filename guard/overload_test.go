@@ -9,127 +9,6 @@ import (
 	"repro/internal/admission"
 )
 
-// feedWindow pushes one simulated genuine session (150 samples) through
-// the monitor and returns the completed window's result.
-func feedWindow(t *testing.T, mon *Monitor, seed int64) *WindowResult {
-	t.Helper()
-	s, err := Simulate(SimOptions{Seed: seed, Peer: PeerGenuine})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var last *WindowResult
-	for i := range s.T {
-		res, err := mon.Push(s.T[i], s.R[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res != nil {
-			last = res
-		}
-	}
-	if last == nil {
-		t.Fatal("window did not complete")
-	}
-	return last
-}
-
-// TestMonitorStageBudgetTripsBreaker starves the DSP stage with an
-// impossible budget: every window must report ReasonOverload without
-// blocking the stream, and consecutive overruns must open the breaker.
-func TestMonitorStageBudgetTripsBreaker(t *testing.T) {
-	det := trainDetector(t)
-	br, err := admission.NewBreaker(admission.BreakerConfig{Threshold: 2, Cooldown: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mon, err := det.NewMonitor(MonitorConfig{
-		WindowSamples: 150, WarmupSamples: 0, MinChallenges: 1,
-		StageBudget: time.Nanosecond, // the DSP chain cannot finish in 1ns
-		Breaker:     br,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, seed := range []int64{9101, 9102} {
-		res := feedWindow(t, mon, seed)
-		if !res.Inconclusive || res.Code != ReasonOverload {
-			t.Fatalf("window %d = %+v, want ReasonOverload", i, res)
-		}
-	}
-	if br.State() != admission.BreakerOpen {
-		t.Fatalf("breaker state = %v after consecutive timeouts, want open", br.State())
-	}
-
-	// Open breaker: the next window short-circuits without touching the
-	// DSP stage at all, and quickly.
-	start := time.Now()
-	res := feedWindow(t, mon, 9103)
-	if !res.Inconclusive || res.Code != ReasonOverload {
-		t.Fatalf("breaker-open window = %+v, want ReasonOverload", res)
-	}
-	if d := time.Since(start); d > 5*time.Second {
-		t.Errorf("breaker-open window took %v, want fast fail", d)
-	}
-}
-
-// TestMonitorBreakerHalfOpenRecovers opens the breaker on timeouts, then
-// lets the cooldown pass with a generous budget: the half-open probe
-// must succeed and close the breaker again.
-func TestMonitorBreakerHalfOpenRecovers(t *testing.T) {
-	det := trainDetector(t)
-	br, err := admission.NewBreaker(admission.BreakerConfig{Threshold: 1, Cooldown: 10 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := MonitorConfig{
-		WindowSamples: 150, WarmupSamples: 0, MinChallenges: 1,
-		StageBudget: time.Nanosecond,
-		Breaker:     br,
-	}
-	mon, err := det.NewMonitor(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res := feedWindow(t, mon, 9201); res.Code != ReasonOverload {
-		t.Fatalf("window = %+v, want ReasonOverload", res)
-	}
-	if br.State() != admission.BreakerOpen {
-		t.Fatalf("breaker state = %v, want open", br.State())
-	}
-
-	// The stage recovers (generous budget on a fresh monitor sharing the
-	// same breaker); after the cooldown the probe closes it.
-	cfg.StageBudget = time.Minute
-	mon2, err := det.NewMonitor(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(20 * time.Millisecond)
-	res := feedWindow(t, mon2, 9202)
-	if res.Inconclusive {
-		t.Fatalf("probe window inconclusive: %s", res.Reason)
-	}
-	if br.State() != admission.BreakerClosed {
-		t.Fatalf("breaker state = %v after probe success, want closed", br.State())
-	}
-}
-
-// TestMonitorUnbudgetedStageUnchanged: zero StageBudget and nil Breaker
-// keep the inline path — conclusive verdicts as before.
-func TestMonitorUnbudgetedStageUnchanged(t *testing.T) {
-	det := trainDetector(t)
-	mon, err := det.NewMonitor(MonitorConfig{WindowSamples: 150, WarmupSamples: 0, MinChallenges: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res := feedWindow(t, mon, 9301); res.Inconclusive {
-		t.Fatalf("inline window inconclusive: %s", res.Reason)
-	}
-	if err := (MonitorConfig{WindowSamples: 150, StageBudget: -time.Second}).Validate(); err == nil {
-		t.Error("negative stage budget accepted")
-	}
-}
-
 // TestBatchDetectContextCancellation cancels mid-batch: windows not yet
 // started must report ctx.Err() instead of running.
 func TestBatchDetectContextCancellation(t *testing.T) {

@@ -6,7 +6,6 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"time"
 
 	"repro/internal/core"
 )
@@ -16,7 +15,7 @@ import (
 // from a version mismatch (VersionError) so operators can tell a
 // damaged file from one written by a different release.
 type FormatError struct {
-	// What names the artifact kind ("detector", "checkpoint").
+	// What names the artifact kind ("detector").
 	What string
 	// Err is the underlying decode error.
 	Err error
@@ -38,16 +37,6 @@ type VersionError struct {
 func (e *VersionError) Error() string {
 	return fmt.Sprintf("guard: unsupported %s file version %d (this build reads version %d)",
 		e.What, e.Got, e.Want)
-}
-
-// decodeVersioned parses one versioned JSON artifact into dst, mapping
-// any decode failure (truncation included) to *FormatError. The caller
-// checks the decoded version itself.
-func decodeVersioned(r io.Reader, what string, dst any) error {
-	if err := json.NewDecoder(r).Decode(dst); err != nil {
-		return &FormatError{What: what, Err: err}
-	}
-	return nil
 }
 
 // detectorFile wraps the snapshot with a version for forward evolution.
@@ -83,8 +72,8 @@ func (d *Detector) SaveFile(path string) error {
 // exactly that contract over arbitrary input.
 func Load(r io.Reader) (*Detector, error) {
 	var df detectorFile
-	if err := decodeVersioned(r, "detector", &df); err != nil {
-		return nil, err
+	if err := json.NewDecoder(r).Decode(&df); err != nil {
+		return nil, &FormatError{What: "detector", Err: err}
 	}
 	if df.Version != detectorFileVersion {
 		return nil, &VersionError{What: "detector", Got: df.Version, Want: detectorFileVersion}
@@ -106,65 +95,4 @@ func LoadFile(path string) (*Detector, error) {
 	}
 	defer f.Close()
 	return Load(f)
-}
-
-// Checkpoint records the sessions a draining verifier service could not
-// finish inside its drain budget, so a restarted process can pick them
-// back up instead of silently dropping calls mid-verification.
-type Checkpoint struct {
-	// SavedAt is when the drain wrote the checkpoint.
-	SavedAt time.Time `json:"saved_at"`
-	// Sessions are the unfinished session IDs, as reported by
-	// Scheduler.Drain.
-	Sessions []string `json:"sessions"`
-}
-
-// checkpointFile wraps the checkpoint with a version, like detectorFile.
-type checkpointFile struct {
-	Version    int        `json:"version"`
-	Checkpoint Checkpoint `json:"checkpoint"`
-}
-
-const checkpointFileVersion = 1
-
-// SaveCheckpoint writes a drain checkpoint as versioned JSON.
-func SaveCheckpoint(w io.Writer, cp Checkpoint) error {
-	if err := json.NewEncoder(w).Encode(checkpointFile{Version: checkpointFileVersion, Checkpoint: cp}); err != nil {
-		return fmt.Errorf("guard: save checkpoint: %w", err)
-	}
-	metricCheckpointSaves.Inc()
-	metricCheckpointSessions.Add(int64(len(cp.Sessions)))
-	return nil
-}
-
-// SaveCheckpointFile writes a drain checkpoint to a path, atomically
-// (temp file + Sync + rename): a crash mid-save leaves the previous
-// checkpoint intact instead of a truncated hybrid.
-func SaveCheckpointFile(path string, cp Checkpoint) error {
-	return AtomicWriteFile(path, func(w io.Writer) error {
-		return SaveCheckpoint(w, cp)
-	})
-}
-
-// LoadCheckpoint reads a checkpoint saved with SaveCheckpoint. Damaged
-// input returns *FormatError; a version mismatch returns *VersionError.
-func LoadCheckpoint(r io.Reader) (Checkpoint, error) {
-	var cf checkpointFile
-	if err := decodeVersioned(r, "checkpoint", &cf); err != nil {
-		return Checkpoint{}, err
-	}
-	if cf.Version != checkpointFileVersion {
-		return Checkpoint{}, &VersionError{What: "checkpoint", Got: cf.Version, Want: checkpointFileVersion}
-	}
-	return cf.Checkpoint, nil
-}
-
-// LoadCheckpointFile reads a checkpoint from a path.
-func LoadCheckpointFile(path string) (Checkpoint, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return Checkpoint{}, fmt.Errorf("guard: %w", err)
-	}
-	defer f.Close()
-	return LoadCheckpoint(f)
 }

@@ -6,10 +6,13 @@ import (
 	"testing"
 )
 
-// persistSeeds feeds both persistence fuzzers the interesting shapes:
-// valid artifacts, version skews, truncations, and JSON that parses but
-// does not validate.
-func persistSeeds(f *testing.F) {
+// FuzzLoad holds guard.Load to its error contract over arbitrary bytes:
+// never panic, and every failure is a typed *FormatError or
+// *VersionError — an operator can always tell a damaged artifact from a
+// release skew. The seeds cover valid artifacts, version skews,
+// truncations, and JSON that parses but does not validate (including
+// another artifact's envelope).
+func FuzzLoad(f *testing.F) {
 	f.Add([]byte(""))
 	f.Add([]byte("{"))
 	f.Add([]byte("null"))
@@ -18,14 +21,6 @@ func persistSeeds(f *testing.F) {
 	f.Add([]byte(`{"version":1,"snapshot":{"config":{},"model":{}}}`))
 	f.Add([]byte(`{"version":1,"checkpoint":{"saved_at":"2026-01-01T00:00:00Z","sessions":["a","b"]}}`))
 	f.Add(bytes.Repeat([]byte(`{"version":1,`), 64))
-}
-
-// FuzzLoad holds guard.Load to its error contract over arbitrary bytes:
-// never panic, and every failure is a typed *FormatError or
-// *VersionError — an operator can always tell a damaged artifact from a
-// release skew.
-func FuzzLoad(f *testing.F) {
-	persistSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		det, err := Load(bytes.NewReader(data))
 		if err == nil {
@@ -38,22 +33,6 @@ func FuzzLoad(f *testing.F) {
 		var ve *VersionError
 		if !errors.As(err, &fe) && !errors.As(err, &ve) {
 			t.Fatalf("Load error is neither *FormatError nor *VersionError: %T %v", err, err)
-		}
-	})
-}
-
-// FuzzLoadCheckpoint is FuzzLoad's contract for drain checkpoints.
-func FuzzLoadCheckpoint(f *testing.F) {
-	persistSeeds(f)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		_, err := LoadCheckpoint(bytes.NewReader(data))
-		if err == nil {
-			return
-		}
-		var fe *FormatError
-		var ve *VersionError
-		if !errors.As(err, &fe) && !errors.As(err, &ve) {
-			t.Fatalf("LoadCheckpoint error is neither *FormatError nor *VersionError: %T %v", err, err)
 		}
 	})
 }

@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestSaveLoadRoundTrip(t *testing.T) {
@@ -117,46 +116,6 @@ func TestLoadTypedErrors(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "99") {
 		t.Errorf("version error message %q does not name the version", err.Error())
-	}
-}
-
-func TestCheckpointRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "checkpoint.json")
-	cp := Checkpoint{
-		SavedAt:  time.Date(2026, 8, 5, 12, 0, 0, 0, time.UTC),
-		Sessions: []string{"call-7", "call-9"},
-	}
-	if err := SaveCheckpointFile(path, cp); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadCheckpointFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.SavedAt.Equal(cp.SavedAt) || len(got.Sessions) != 2 ||
-		got.Sessions[0] != "call-7" || got.Sessions[1] != "call-9" {
-		t.Errorf("reloaded checkpoint = %+v, want %+v", got, cp)
-	}
-	if _, err := LoadCheckpointFile(filepath.Join(t.TempDir(), "missing.json")); err == nil {
-		t.Error("missing checkpoint accepted")
-	}
-}
-
-func TestCheckpointTypedErrors(t *testing.T) {
-	var fe *FormatError
-	var ve *VersionError
-	if _, err := LoadCheckpoint(strings.NewReader(`{"version":1,"checkpoint":`)); !errors.As(err, &fe) {
-		t.Errorf("truncated checkpoint err = %v, want *FormatError", err)
-	}
-	if _, err := LoadCheckpoint(strings.NewReader("")); !errors.As(err, &fe) {
-		t.Errorf("empty checkpoint err = %v, want *FormatError", err)
-	}
-	_, err := LoadCheckpoint(strings.NewReader(`{"version":3,"checkpoint":{}}`))
-	if !errors.As(err, &ve) {
-		t.Fatalf("wrong-version checkpoint err = %v, want *VersionError", err)
-	}
-	if ve.Got != 3 || ve.Want != checkpointFileVersion {
-		t.Errorf("version error = %+v", ve)
 	}
 }
 

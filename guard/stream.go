@@ -148,14 +148,17 @@ type StreamConfig struct {
 	// 10 Hz). Every hop judges the trailing window of this length.
 	WindowSamples int
 	// HopSamples is how far consecutive windows advance. 1 judges every
-	// sample; WindowSamples reproduces the Monitor's tumbling windows.
+	// sample; WindowSamples gives back-to-back, non-overlapping windows.
 	HopSamples int
 	// WarmupSamples are discarded before the stream enters the pipeline.
 	WarmupSamples int
-	// MinChallenges gates conclusiveness exactly as in MonitorConfig.
+	// MinChallenges is the minimum number of significant transmitted
+	// changes for a window to be conclusive: with no challenge issued
+	// there is nothing to correlate, and the hop reports
+	// ReasonNoChallenge instead of a verdict.
 	MinChallenges int
 	// MaxGapRatio / MaxStaleRatio bound per-window capture degradation;
-	// zero means 0.2 / 0.5 (the Monitor defaults).
+	// zero means 0.2 / 0.5.
 	MaxGapRatio   float64
 	MaxStaleRatio float64
 	// DTWBandRadius constrains the z4 warp: zero means
@@ -237,8 +240,8 @@ const (
 // Its verdicts are bit-identical to DetectStreamBatch, the retained batch
 // reference that runs the whole stream through the batch chain and
 // judges the same hop grid (stream_test.go and the golden stream trace
-// enforce the equivalence). Like Monitor, it is not safe for concurrent
-// use; feed it from the session loop.
+// enforce the equivalence). It is not safe for concurrent use; feed it
+// from the session loop.
 type StreamDetector struct {
 	det     *Detector
 	cfg     StreamConfig
@@ -303,8 +306,9 @@ func (d *Detector) NewStreamDetector(cfg StreamConfig) (*StreamDetector, error) 
 func (sd *StreamDetector) Latency() int { return sd.latency }
 
 // Push adds one annotated tick. When the tick completes a hop it returns
-// that window's result; otherwise nil. Non-finite values degrade to held
-// samples exactly as in Monitor.PushSample.
+// that window's result; otherwise nil. Non-finite values and
+// landmark-lost ticks degrade to the last good sample and count as gaps:
+// a live session must survive a glitching capture path.
 func (sd *StreamDetector) Push(s StreamSample) *WindowResult {
 	if sd.finished {
 		panic("guard: StreamDetector.Push after Finish")
@@ -442,7 +446,7 @@ func (sd *StreamDetector) Windows() (conclusive, inconclusive int) {
 }
 
 // Flagged reports the running majority vote over conclusive hops,
-// erroring until at least one exists — the Monitor contract.
+// erroring until at least one exists.
 func (sd *StreamDetector) Flagged() (bool, error) {
 	if sd.conclusive == 0 {
 		return false, fmt.Errorf("guard: no conclusive windows yet")

@@ -145,6 +145,9 @@ func TestStreamDetectorAccounting(t *testing.T) {
 	if _, err := sd.Flagged(); err == nil {
 		t.Error("Flagged succeeded with no conclusive windows")
 	}
+	if got := sd.Results(); len(got) != 0 {
+		t.Errorf("fresh detector has %d results", len(got))
+	}
 	samples := cleanStream(t, 43000, PeerReenact, 2)
 	for _, s := range samples {
 		sd.Push(s)
@@ -229,78 +232,5 @@ func TestStreamQualityRejectsNonFinite(t *testing.T) {
 	// The zero value still means the defaults.
 	if _, err := det.DetectSamples(tx, rx, StreamQuality{}); err != nil {
 		t.Errorf("zero quality rejected: %v", err)
-	}
-}
-
-// Hop mode: a Monitor with HopSamples set delegates to the incremental
-// engine and reports the identical hop results the StreamDetector would.
-func TestMonitorHopMode(t *testing.T) {
-	det := trainDetector(t)
-	cfg := DefaultMonitorConfig()
-	cfg.HopSamples = 15
-	m, err := det.NewMonitor(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	samples := degradeStream(cleanStream(t, 45000, PeerGenuine, 2), 9)
-	var fromPush []WindowResult
-	for _, s := range samples {
-		r, err := m.PushSample(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r != nil {
-			fromPush = append(fromPush, *r)
-		}
-	}
-	last := m.Flush()
-	want, err := det.DetectStreamBatch(samples, StreamConfig{
-		WindowSamples: cfg.WindowSamples,
-		HopSamples:    cfg.HopSamples,
-		WarmupSamples: cfg.WarmupSamples,
-		MinChallenges: cfg.MinChallenges,
-		MaxGapRatio:   cfg.MaxGapRatio,
-		MaxStaleRatio: cfg.MaxStaleRatio,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := m.Results()
-	if len(got) != len(want) {
-		t.Fatalf("%d hop results, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if !sameWindowResult(got[i], want[i]) {
-			t.Fatalf("hop %d:\nmonitor %+v\nbatch   %+v", i, got[i], want[i])
-		}
-	}
-	if len(fromPush) >= len(got) && last != nil {
-		t.Error("Flush returned a result but every hop already came from PushSample")
-	}
-	conclusive, inconclusive := m.Windows()
-	if conclusive+inconclusive != len(got) {
-		t.Errorf("windows %d+%d != %d results", conclusive, inconclusive, len(got))
-	}
-	if conclusive > 0 {
-		if _, err := m.Flagged(); err != nil {
-			t.Errorf("Flagged: %v", err)
-		}
-	}
-
-	// Incompatible knobs are rejected up front.
-	bad := cfg
-	bad.StageBudget = 1
-	if _, err := det.NewMonitor(bad); err == nil {
-		t.Error("hop mode with StageBudget accepted")
-	}
-	neg := cfg
-	neg.HopSamples = -1
-	if _, err := det.NewMonitor(neg); err == nil {
-		t.Error("negative hop accepted")
-	}
-	wide := cfg
-	wide.HopSamples = wide.WindowSamples + 1
-	if _, err := det.NewMonitor(wide); err == nil {
-		t.Error("hop wider than window accepted")
 	}
 }

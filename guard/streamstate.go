@@ -7,7 +7,7 @@ import (
 )
 
 // streamStateVersion guards the serialized session-state layout.
-// Bump it when StreamState/MonitorState change shape incompatibly.
+// Bump it when StreamState changes shape incompatibly.
 const streamStateVersion = 1
 
 // StreamState is a StreamDetector parked mid-call: the filter-chain
@@ -158,99 +158,4 @@ func (d *Detector) ResumeStreamDetector(st StreamState) (*StreamDetector, error)
 	sd.conclusive = st.Conclusive
 	sd.inconclusive = st.Inconclusive
 	return sd, nil
-}
-
-// MonitorState is a Monitor parked mid-call. In hop mode the whole
-// pipeline lives in the embedded StreamState; in legacy tumbling-window
-// mode it is the partial window buffers plus the running vote.
-type MonitorState struct {
-	Version int           `json:"version"`
-	Config  MonitorConfig `json:"config"`
-
-	// Stream carries the hop-mode pipeline; nil in legacy mode.
-	Stream *StreamState `json:"stream,omitempty"`
-
-	Tx   []float64 `json:"tx,omitempty"`
-	Rx   []float64 `json:"rx,omitempty"`
-	Warm int       `json:"warm"`
-
-	Gaps   int     `json:"gaps"`
-	LmLost int     `json:"lm_lost"`
-	Stale  int     `json:"stale"`
-	LastTx float64 `json:"last_tx"`
-	LastRx float64 `json:"last_rx"`
-
-	Results      []WindowResult `json:"results"`
-	AttackVotes  int            `json:"attack_votes"`
-	Conclusive   int            `json:"conclusive"`
-	Inconclusive int            `json:"inconclusive"`
-}
-
-// Export deep-copies the monitor's live state for parking.
-func (m *Monitor) Export() MonitorState {
-	st := MonitorState{
-		Version:      streamStateVersion,
-		Config:       m.cfg,
-		Warm:         m.warm,
-		Gaps:         m.gaps,
-		LmLost:       m.lmLost,
-		Stale:        m.stale,
-		LastTx:       m.lastTx,
-		LastRx:       m.lastRx,
-		Tx:           append([]float64(nil), m.tx...),
-		Rx:           append([]float64(nil), m.rx...),
-		Results:      append([]WindowResult(nil), m.results...),
-		AttackVotes:  m.attackVotes,
-		Conclusive:   m.conclusive,
-		Inconclusive: m.inconclusive,
-	}
-	if m.stream != nil {
-		ss := m.stream.Export()
-		st.Stream = &ss
-	}
-	return st
-}
-
-// ResumeMonitor rebuilds a Monitor from a parked state over the same
-// trained detector. Damaged states fail with a typed error.
-func (d *Detector) ResumeMonitor(st MonitorState) (*Monitor, error) {
-	if st.Version != streamStateVersion {
-		return nil, &VersionError{What: "monitor state", Got: st.Version, Want: streamStateVersion}
-	}
-	m, err := d.NewMonitor(st.Config)
-	if err != nil {
-		return nil, err
-	}
-	if (m.stream != nil) != (st.Stream != nil) {
-		return nil, fmt.Errorf("guard: parked monitor state mode disagrees with configuration (hop=%v, state stream=%v)",
-			m.stream != nil, st.Stream != nil)
-	}
-	if st.Stream != nil {
-		sd, err := d.ResumeStreamDetector(*st.Stream)
-		if err != nil {
-			return nil, err
-		}
-		m.stream = sd
-		return m, nil
-	}
-	if len(st.Tx) != len(st.Rx) {
-		return nil, fmt.Errorf("guard: parked window buffers disagree: %d vs %d samples", len(st.Tx), len(st.Rx))
-	}
-	if len(st.Tx) >= m.cfg.WindowSamples {
-		return nil, fmt.Errorf("guard: parked window buffer of %d samples should have been judged at %d", len(st.Tx), m.cfg.WindowSamples)
-	}
-	if st.Conclusive+st.Inconclusive != len(st.Results) {
-		return nil, fmt.Errorf("guard: parked vote tallies (%d conclusive + %d inconclusive) disagree with %d results",
-			st.Conclusive, st.Inconclusive, len(st.Results))
-	}
-	m.tx = append([]float64(nil), st.Tx...)
-	m.rx = append([]float64(nil), st.Rx...)
-	m.warm = st.Warm
-	m.gaps, m.lmLost, m.stale = st.Gaps, st.LmLost, st.Stale
-	m.lastTx, m.lastRx = st.LastTx, st.LastRx
-	m.results = append([]WindowResult(nil), st.Results...)
-	m.attackVotes = st.AttackVotes
-	m.conclusive = st.Conclusive
-	m.inconclusive = st.Inconclusive
-	return m, nil
 }

@@ -97,71 +97,6 @@ func TestStreamStateResumeBitIdentical(t *testing.T) {
 	}
 }
 
-// TestMonitorStateResume covers both monitor modes: hop mode (the
-// embedded stream pipeline) and the legacy tumbling window, each parked
-// mid-call and required to finish exactly like an uninterrupted monitor.
-func TestMonitorStateResume(t *testing.T) {
-	det := trainDetector(t)
-	samples := degradeStream(cleanStream(t, 49000, PeerGenuine, 2), 13)
-
-	for name, cfg := range map[string]MonitorConfig{
-		"hop":      {WindowSamples: 150, WarmupSamples: 30, MinChallenges: 1, HopSamples: 5},
-		"tumbling": DefaultMonitorConfig(),
-	} {
-		t.Run(name, func(t *testing.T) {
-			ref, err := det.NewMonitor(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, s := range samples {
-				if _, err := ref.PushSample(s); err != nil {
-					t.Fatal(err)
-				}
-			}
-			ref.Flush()
-			want := ref.Results()
-
-			m, err := det.NewMonitor(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, s := range samples {
-				if i == 77 || i == 310 {
-					blob, err := json.Marshal(m.Export())
-					if err != nil {
-						t.Fatal(err)
-					}
-					var st MonitorState
-					if err := json.Unmarshal(blob, &st); err != nil {
-						t.Fatal(err)
-					}
-					if m, err = det.ResumeMonitor(st); err != nil {
-						t.Fatalf("resume at sample %d: %v", i, err)
-					}
-				}
-				if _, err := m.PushSample(s); err != nil {
-					t.Fatal(err)
-				}
-			}
-			m.Flush()
-			got := m.Results()
-			if len(got) != len(want) {
-				t.Fatalf("%d results after resume, %d uninterrupted", len(got), len(want))
-			}
-			for i := range got {
-				if !sameWindowResult(got[i], want[i]) {
-					t.Fatalf("window %d diverged:\nresumed       %+v\nuninterrupted %+v", i, got[i], want[i])
-				}
-			}
-			f1, err1 := ref.Flagged()
-			f2, err2 := m.Flagged()
-			if f1 != f2 || (err1 == nil) != (err2 == nil) {
-				t.Fatalf("vote diverged: uninterrupted (%v, %v) vs resumed (%v, %v)", f1, err1, f2, err2)
-			}
-		})
-	}
-}
-
 // TestStreamStateRejectsDamage walks the validation surface: every
 // mutation of a valid parked state must be rejected with a descriptive
 // error, and a version skew with *VersionError — never a half-restored
@@ -209,21 +144,5 @@ func TestStreamStateRejectsDamage(t *testing.T) {
 				t.Errorf("%s: want *VersionError, got %T: %v", name, err, err)
 			}
 		}
-	}
-
-	// Monitor-level damage.
-	m, err := det.NewMonitor(DefaultMonitorConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ms := m.Export()
-	ms.Stream = &good
-	if _, err := det.ResumeMonitor(ms); err == nil {
-		t.Error("tumbling-mode state with a stream payload accepted")
-	}
-	ms = m.Export()
-	ms.Rx = append(ms.Rx, 1)
-	if _, err := det.ResumeMonitor(ms); err == nil {
-		t.Error("unbalanced window buffers accepted")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -54,8 +53,8 @@ func TestBurstArrivals(t *testing.T) {
 // CI: a 10x-capacity burst against a small admitted pool with one
 // wedged worker. Submits must never block, the over-capacity tail must
 // shed with typed errors, a sick DSP stage must trip its breaker and
-// recover through a half-open probe, and a budgeted drain must
-// checkpoint the unfinished sessions for restart recovery.
+// recover through a half-open probe, and a budgeted drain must report
+// the unfinished sessions.
 func TestOverloadSoak(t *testing.T) {
 	snap := leakcheck.Snapshot()
 
@@ -131,17 +130,19 @@ func TestOverloadSoak(t *testing.T) {
 	}
 	t.Logf("burst: %d admitted, %d shed", len(okd), shed)
 
-	// A sick DSP stage trips its breaker, then recovers half-open.
+	// A sick DSP stage trips its breaker, then recovers half-open. The
+	// breaker reads an injected clock, so the cooldown passes without a
+	// sleep.
 	det := sharedDetector(t)
-	br, err := admission.NewBreaker(admission.BreakerConfig{Threshold: 1, Cooldown: 10 * time.Millisecond})
+	now := time.Unix(0, 0)
+	br, err := admission.NewBreaker(admission.BreakerConfig{
+		Threshold: 1, Cooldown: 10 * time.Millisecond,
+		Now: func() time.Time { return now },
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	monCfg := guard.MonitorConfig{
-		WindowSamples: 150, WarmupSamples: 0, MinChallenges: 1,
-		StageBudget: time.Nanosecond, Breaker: br,
-	}
-	mon, err := det.NewMonitor(monCfg)
+	batch, err := det.Batch(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,49 +150,28 @@ func TestOverloadSoak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var winRes *guard.WindowResult
-	for i := range sim.T {
-		res, err := mon.Push(sim.T[i], sim.R[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res != nil {
-			winRes = res
-			break
-		}
-	}
-	if winRes == nil || winRes.Code != guard.ReasonOverload {
-		t.Fatalf("starved stage window = %+v, want ReasonOverload", winRes)
+	window := []guard.Session{{Transmitted: sim.T, Received: sim.R}}
+	starved := guard.Guardrails{Budget: time.Nanosecond, Breaker: br}
+	if res := batch.DetectContext(context.Background(), window, starved); !errors.Is(res[0].Err, guard.ErrStageTimeout) {
+		t.Fatalf("starved stage err = %v, want ErrStageTimeout", res[0].Err)
 	}
 	if br.State() != admission.BreakerOpen {
 		t.Fatalf("breaker = %v, want open", br.State())
 	}
-	monCfg.StageBudget = time.Minute // the stage "recovers"
-	mon2, err := det.NewMonitor(monCfg)
-	if err != nil {
-		t.Fatal(err)
+	healthy := guard.Guardrails{Budget: time.Minute, Breaker: br} // the stage "recovers"
+	if res := batch.DetectContext(context.Background(), window, healthy); !errors.Is(res[0].Err, admission.ErrBreakerOpen) {
+		t.Fatalf("err inside the cooldown = %v, want ErrBreakerOpen", res[0].Err)
 	}
-	time.Sleep(20 * time.Millisecond) // cooldown passes
-	winRes = nil
-	for i := range sim.T {
-		res, err := mon2.Push(sim.T[i], sim.R[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res != nil {
-			winRes = res
-			break
-		}
-	}
-	if winRes == nil || winRes.Inconclusive {
-		t.Fatalf("post-recovery window = %+v, want conclusive", winRes)
+	now = now.Add(10 * time.Millisecond) // cooldown passes
+	if res := batch.DetectContext(context.Background(), window, healthy); res[0].Err != nil {
+		t.Fatalf("probe window err = %v, want a verdict", res[0].Err)
 	}
 	if br.State() != admission.BreakerClosed {
 		t.Fatalf("breaker = %v after probe success, want closed", br.State())
 	}
 
 	// Graceful drain with a budget the stuck worker cannot meet: the
-	// unfinished sessions come back for checkpointing.
+	// unfinished sessions come back to the caller.
 	drainCtx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
 	drainStart := time.Now()
@@ -210,23 +190,6 @@ func TestOverloadSoak(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("unfinished = %v, missing the stuck session", unfinished)
-	}
-
-	// Checkpoint the unfinished IDs and reload them, as a restarting
-	// process would.
-	cpPath := filepath.Join(t.TempDir(), "drain.json")
-	if err := guard.SaveCheckpointFile(cpPath, guard.Checkpoint{
-		SavedAt:  time.Now(),
-		Sessions: unfinished,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	cp, err := guard.LoadCheckpointFile(cpPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cp.Sessions) != len(unfinished) {
-		t.Fatalf("checkpoint reloaded %d sessions, want %d", len(cp.Sessions), len(unfinished))
 	}
 
 	// Every admitted session reports exactly once — completed, cancelled,

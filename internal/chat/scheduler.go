@@ -626,8 +626,10 @@ func (s *Scheduler) Close() {
 // gives queued plus in-flight sessions until ctx expires to finish. On a
 // clean drain it returns (nil, nil). Past the budget it sheds every
 // still-queued session with admission.ErrDraining on its result channel,
-// cancels every in-flight session, and returns their IDs so the caller
-// can checkpoint them for restart recovery (guard.SaveCheckpointFile).
+// cancels every in-flight session, and returns their IDs. With
+// SchedulerConfig.States and Salvage set, each cancelled session's
+// partial state is parked, so a restart resumes it (vcguard serve
+// -state-dir).
 // It does not wait for truly stuck workers — call Wait after releasing
 // whatever wedged them. Draining an already-closed scheduler returns
 // ErrSchedulerClosed.

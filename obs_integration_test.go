@@ -143,11 +143,12 @@ func TestObservabilityBatchDetect(t *testing.T) {
 	}
 }
 
-// TestObservabilityMonitorWindows drives the streaming Monitor and checks
-// the window-level accounting: every judged window lands in exactly one of
-// conclusive/inconclusive, conclusive windows count a verdict, and every
-// judged window observes the quality histogram.
-func TestObservabilityMonitorWindows(t *testing.T) {
+// TestObservabilityStreamHops drives the incremental StreamDetector and
+// checks the hop-level accounting: every judged hop counts once in
+// guard_stream_hops_total and lands in exactly one of
+// conclusive/inconclusive, conclusive hops count a verdict, and every
+// judged hop observes the quality histogram.
+func TestObservabilityStreamHops(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
@@ -159,49 +160,43 @@ func TestObservabilityMonitorWindows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mon, err := det.NewMonitor(guard.DefaultMonitorConfig())
+	sd, err := det.NewStreamDetector(guard.DefaultStreamConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var windows int64
+	var hops int64
 	delta := measure(func() {
-		// One session is shorter than a monitoring window plus warmup, so
-		// stream several back to back.
+		// One session is shorter than a window plus warmup, so stream
+		// several back to back.
 		for s := int64(0); s < 4; s++ {
 			session, err := guard.Simulate(guard.SimOptions{Seed: 950 + s, Peer: guard.PeerReenact})
 			if err != nil {
 				t.Fatal(err)
 			}
 			for i := range session.T {
-				res, err := mon.Push(session.T[i], session.R[i])
-				if err != nil {
-					t.Fatal(err)
-				}
-				if res != nil {
-					windows++
+				if sd.Push(guard.StreamSample{Transmitted: session.T[i], Received: session.R[i]}) != nil {
+					hops++
 				}
 			}
 		}
+		hops += int64(len(sd.Finish()))
 	})
-	if windows == 0 {
-		t.Fatal("monitor judged no windows; session too short for the config")
+	if hops == 0 {
+		t.Fatal("stream judged no hops; session too short for the config")
+	}
+	if got := delta.counter("guard_stream_hops_total"); got != hops {
+		t.Errorf("guard_stream_hops_total delta = %d, want %d hops", got, hops)
 	}
 	conclusive := delta.counter("guard_windows_conclusive_total")
 	inconclusive := delta.counter("guard_windows_inconclusive_total")
-	if conclusive+inconclusive != windows {
-		t.Errorf("conclusive+inconclusive = %d+%d, want %d windows", conclusive, inconclusive, windows)
+	if conclusive+inconclusive != hops {
+		t.Errorf("conclusive+inconclusive = %d+%d, want %d hops", conclusive, inconclusive, hops)
 	}
 	if got := delta.counter("guard_verdicts_total"); got != conclusive {
-		t.Errorf("guard_verdicts_total delta = %d, want %d (one per conclusive window)", got, conclusive)
+		t.Errorf("guard_verdicts_total delta = %d, want %d (one per conclusive hop)", got, conclusive)
 	}
-	if got := delta.histCount("guard_window_quality"); got != windows {
-		t.Errorf("guard_window_quality delta = %d, want %d", got, windows)
-	}
-
-	// Monitor windows also record spans.
-	_, totalAfter := obs.Default.Spans()
-	if totalAfter == 0 {
-		t.Error("no spans recorded by the monitor path")
+	if got := delta.histCount("guard_window_quality"); got != hops {
+		t.Errorf("guard_window_quality delta = %d, want %d", got, hops)
 	}
 }
 
