@@ -84,7 +84,11 @@ func Load(r io.Reader) (*Detector, error) {
 		// load path means the artifact is damaged or hand-edited.
 		return nil, &FormatError{What: "detector", Err: err}
 	}
-	return &Detector{cfg: df.Snapshot.Config, det: det, workers: runtime.GOMAXPROCS(0)}, nil
+	d, err := newDetector(df.Snapshot.Config, det, runtime.GOMAXPROCS(0))
+	if err != nil {
+		return nil, &FormatError{What: "detector", Err: err}
+	}
+	return d, nil
 }
 
 // LoadFile reads a detector from a path.

@@ -3,6 +3,7 @@ package guard
 import (
 	"fmt"
 	"math"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -242,10 +243,15 @@ const (
 // judges the same hop grid (stream_test.go and the golden stream trace
 // enforce the equivalence). It is not safe for concurrent use; feed it
 // from the session loop.
+//
+// A detector holds only what the session must keep: the chains' rings,
+// the two smoothed-window rings and the flag ring. A judged hop borrows
+// everything else — the linearized windows, peak lists and feature
+// buffers — from a pool shared by all sessions, and the filter
+// coefficients belong to the trained Detector.
 type StreamDetector struct {
 	det     *Detector
 	cfg     StreamConfig
-	fcfg    features.Config
 	txChain *preprocess.StreamChain
 	rxChain *preprocess.StreamChain
 	latency int
@@ -257,9 +263,9 @@ type StreamDetector struct {
 	lastTx, lastRx float64
 	flags          []uint8   // ring: capture-health bits per raw tick
 	smTx, smRx     []float64 // rings: smoothed window history
-	winTx, winRx   []float64 // scratch: linearized window for judging
 	finished       bool
 
+	last         WindowResult // the latest hop's result, which Push returns
 	results      []WindowResult
 	attackVotes  int
 	conclusive   int
@@ -273,30 +279,18 @@ func (d *Detector) NewStreamDetector(cfg StreamConfig) (*StreamDetector, error) 
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	txChain, err := preprocess.NewStreamChain(d.cfg.Preprocess)
-	if err != nil {
-		return nil, fmt.Errorf("guard: %w", err)
-	}
-	rxChain, err := preprocess.NewStreamChain(d.cfg.Preprocess)
-	if err != nil {
-		return nil, fmt.Errorf("guard: %w", err)
-	}
-	fcfg := d.cfg.Features
-	fcfg.DTWBandRadius = cfg.DTWBandRadius
+	txChain := d.chain.NewChain()
 	w := cfg.WindowSamples
 	return &StreamDetector{
 		det:     d,
 		cfg:     cfg,
-		fcfg:    fcfg,
 		txChain: txChain,
-		rxChain: rxChain,
+		rxChain: d.chain.NewChain(),
 		latency: txChain.Latency(),
 		nextEnd: w - 1,
 		flags:   make([]uint8, w+txChain.Latency()),
 		smTx:    make([]float64, w),
 		smRx:    make([]float64, w),
-		winTx:   make([]float64, w),
-		winRx:   make([]float64, w),
 	}, nil
 }
 
@@ -306,9 +300,12 @@ func (d *Detector) NewStreamDetector(cfg StreamConfig) (*StreamDetector, error) 
 func (sd *StreamDetector) Latency() int { return sd.latency }
 
 // Push adds one annotated tick. When the tick completes a hop it returns
-// that window's result; otherwise nil. Non-finite values and
-// landmark-lost ticks degrade to the last good sample and count as gaps:
-// a live session must survive a glitching capture path.
+// that window's result; otherwise nil. The result is the detector's own
+// copy and stays valid only until the next Push or Finish, which
+// overwrite it: a caller that keeps it copies it (*r), and Results holds
+// every hop's result for good. Non-finite values and landmark-lost ticks
+// degrade to the last good sample and count as gaps: a live session must
+// survive a glitching capture path.
 func (sd *StreamDetector) Push(s StreamSample) *WindowResult {
 	if sd.finished {
 		panic("guard: StreamDetector.Push after Finish")
@@ -385,11 +382,12 @@ func (sd *StreamDetector) accept(vTx, vRx float64) *WindowResult {
 func (sd *StreamDetector) completeHop(e int) *WindowResult {
 	sd.nextEnd += sd.cfg.HopSamples
 	start := time.Now() //lint:ignore vclint/nodeterm feeds the per-hop latency histogram only; the WindowResult is clock-free
-	res := sd.judgeHop(e)
+	sd.last = sd.judgeHop(e)
+	res := &sd.last
 	metricStreamHops.Inc()
 	metricStreamHopSeconds.ObserveSince(start)
-	sd.results = append(sd.results, res)
-	recordWindow(&res)
+	sd.results = append(sd.results, *res)
+	recordWindow(res)
 	if res.Inconclusive {
 		sd.inconclusive++
 	} else {
@@ -401,21 +399,47 @@ func (sd *StreamDetector) completeHop(e int) *WindowResult {
 			verdictGenuine.Inc()
 		}
 	}
-	return &res
+	return res
+}
+
+// hopScratch is what a judged hop needs and a session does not keep:
+// the two linearized windows, both peak lists, and the feature
+// extractor's buffers (change times, matches, aligned and normalized
+// windows, the banded-DTW rows). Every field is rewritten before it is
+// read, so a scratch carries nothing from one hop to the next.
+type hopScratch struct {
+	winTx, winRx     []float64
+	peaksTx, peaksRx []dsp.Peak
+	ext              features.Extractor
+}
+
+// hopScratchPool lends hop scratch to every StreamDetector: live
+// sessions hold one per concurrently judged hop instead of one each.
+var hopScratchPool = sync.Pool{New: func() any { return new(hopScratch) }}
+
+// windows returns the scratch's two window buffers sized to w.
+func (sc *hopScratch) windows(w int) (winTx, winRx []float64) {
+	if cap(sc.winTx) < w {
+		sc.winTx, sc.winRx = make([]float64, w), make([]float64, w)
+	}
+	return sc.winTx[:w], sc.winRx[:w]
 }
 
 // judgeHop linearizes the window ending at smoothed index e from the
-// rings, tallies its capture-health flags, and judges it.
+// rings into borrowed scratch, tallies its capture-health flags, and
+// judges it.
 func (sd *StreamDetector) judgeHop(e int) WindowResult {
 	w := sd.cfg.WindowSamples
 	first := e - w + 1
+	sc := hopScratchPool.Get().(*hopScratch)
+	winTx, winRx := sc.windows(w)
 	// The window spans the whole smoothed ring, rotated: two copies
 	// linearize it without a modulo per element.
 	rot := first % w
-	k := copy(sd.winTx, sd.smTx[rot:])
-	copy(sd.winTx[k:], sd.smTx[:rot])
-	copy(sd.winRx, sd.smRx[rot:])
-	copy(sd.winRx[k:], sd.smRx[:rot])
+	k := copy(winTx, sd.smTx[rot:])
+	copy(winTx[k:], sd.smTx[:rot])
+	copy(winRx, sd.smRx[rot:])
+	copy(winRx[k:], sd.smRx[:rot])
 	var gaps, lmLost, stale int
 	fl := len(sd.flags)
 	p := first % fl
@@ -437,7 +461,9 @@ func (sd *StreamDetector) judgeHop(e int) WindowResult {
 			stale++
 		}
 	}
-	return sd.det.judgeStreamWindow(sd.winTx, sd.winRx, sd.fcfg, sd.cfg, gaps, lmLost, stale)
+	res := sd.det.judgeStreamWindow(sc, winTx, winRx, sd.cfg, gaps, lmLost, stale)
+	hopScratchPool.Put(sc)
+	return res
 }
 
 // Windows returns how many hops were judged (conclusive, inconclusive).
@@ -465,12 +491,21 @@ func (sd *StreamDetector) Results() []WindowResult {
 	return out
 }
 
+// streamFeatures is the feature configuration a stream judges with: the
+// trained one, with the stream's DTW band.
+func (d *Detector) streamFeatures(cfg StreamConfig) features.Config {
+	fcfg := d.cfg.Features
+	fcfg.DTWBandRadius = cfg.DTWBandRadius
+	return fcfg
+}
+
 // judgeStreamWindow classifies one hop window of the continuous smoothed
-// signal. It is shared verbatim by the incremental path (over ring
-// scratch) and DetectStreamBatch (over batch slices) — the equivalence
-// between the two reduces to their chain outputs and flag tallies, which
-// the differential suite pins bitwise.
-func (d *Detector) judgeStreamWindow(winTx, winRx []float64, fcfg features.Config, cfg StreamConfig, gaps, lmLost, stale int) WindowResult {
+// signal, with sc's peak lists and extractor as working memory. It is
+// shared verbatim by the incremental path (over linearized ring windows)
+// and DetectStreamBatch (over batch slices) — the equivalence between
+// the two reduces to their chain outputs and flag tallies, which the
+// differential suite pins bitwise.
+func (d *Detector) judgeStreamWindow(sc *hopScratch, winTx, winRx []float64, cfg StreamConfig, gaps, lmLost, stale int) WindowResult {
 	n := len(winTx)
 	quality := 1 - (float64(gaps)+0.5*float64(stale))/float64(n)
 	if quality < 0 {
@@ -509,15 +544,11 @@ func (d *Detector) judgeStreamWindow(winTx, winRx []float64, fcfg features.Confi
 			Stale:   stale,
 		}
 	}
-	resTx := preprocess.Result{
-		Smoothed: winTx,
-		Peaks:    dsp.FindPeaks(winTx, d.cfg.ScreenProminence),
-	}
-	resRx := preprocess.Result{
-		Smoothed: winRx,
-		Peaks:    dsp.FindPeaks(winRx, d.cfg.FaceProminence),
-	}
-	v, detail, err := features.ExtractWithDetail(&resTx, &resRx, fcfg)
+	sc.peaksTx = dsp.AppendPeaks(sc.peaksTx[:0], winTx, d.cfg.ScreenProminence)
+	sc.peaksRx = dsp.AppendPeaks(sc.peaksRx[:0], winRx, d.cfg.FaceProminence)
+	resTx := preprocess.Result{Smoothed: winTx, Peaks: sc.peaksTx}
+	resRx := preprocess.Result{Smoothed: winRx, Peaks: sc.peaksRx}
+	v, detail, err := sc.ext.Extract(&resTx, &resRx, d.streamFeatures(cfg))
 	if err != nil {
 		return WindowResult{
 			Inconclusive: true,
@@ -568,7 +599,8 @@ func (d *Detector) judgeStreamWindow(winTx, winRx []float64, fcfg features.Confi
 // runs the whole (sanitized, hold-last) stream through the batch filter
 // chain and judges the identical hop grid — windows ending at smoothed
 // index WindowSamples-1, then every HopSamples. StreamDetector reproduces
-// its results bit for bit; keep this path the simple one.
+// its results bit for bit; keep this path the simple one. Each call
+// judges with scratch of its own, never the pooled hop scratch.
 func (d *Detector) DetectStreamBatch(samples []StreamSample, cfg StreamConfig) ([]WindowResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -611,8 +643,7 @@ func (d *Detector) DetectStreamBatch(samples []StreamSample, cfg StreamConfig) (
 	if err != nil {
 		return nil, fmt.Errorf("guard: received stream: %w", err)
 	}
-	fcfg := d.cfg.Features
-	fcfg.DTWBandRadius = cfg.DTWBandRadius
+	sc := new(hopScratch)
 	var out []WindowResult
 	for e := cfg.WindowSamples - 1; e < n; e += cfg.HopSamples {
 		first := e - cfg.WindowSamples + 1
@@ -628,7 +659,7 @@ func (d *Detector) DetectStreamBatch(samples []StreamSample, cfg StreamConfig) (
 				stale++
 			}
 		}
-		out = append(out, d.judgeStreamWindow(smTx[first:e+1], smRx[first:e+1], fcfg, cfg, gaps, lmLost, stale))
+		out = append(out, d.judgeStreamWindow(sc, smTx[first:e+1], smRx[first:e+1], cfg, gaps, lmLost, stale))
 	}
 	return out, nil
 }

@@ -6,56 +6,24 @@ import (
 	"sync"
 )
 
-// dtwRows pools the two rolling DP rows: on the streaming hot path
-// DTWWindowed runs twice per hop, and the per-call row allocations were
-// a measurable share of the hop budget. Rows are fully (re)initialized
-// before use, so pooling cannot change a single output bit.
-var dtwRows = sync.Pool{New: func() any { return new([]float64) }}
-
-func dtwRow(m int) *[]float64 {
-	rp := dtwRows.Get().(*[]float64)
-	if cap(*rp) < m {
-		*rp = make([]float64, m)
-	}
-	*rp = (*rp)[:m]
-	return rp
+// DTWRows is caller-owned scratch for the DTW dynamic program: its two
+// rolling rows. The zero value is ready. The rows grow to the longest
+// second sequence seen and every call reinitializes each cell it reads,
+// so reusing one DTWRows across calls cannot change an output bit.
+type DTWRows struct {
+	a, b []float64
 }
+
+// dtwRows pools DTWRows for DTW and DTWWindowed, whose callers bring no
+// scratch of their own.
+var dtwRows = sync.Pool{New: func() any { return new(DTWRows) }}
 
 // DTW computes the dynamic time warping distance between x and y using
 // absolute-difference local cost and the standard (match, insert, delete)
 // step pattern. The returned value is the total accumulated cost along the
 // optimal warping path (paper feature z4 before its /30 scaling).
 func DTW(x, y []float64) (float64, error) {
-	n, m := len(x), len(y)
-	if n == 0 || m == 0 {
-		return 0, fmt.Errorf("dsp: DTW of empty sequence (len %d vs %d)", n, m)
-	}
-	// Two-row rolling DP to keep memory at O(m).
-	prevP, currP := dtwRow(m+1), dtwRow(m+1)
-	prev, curr := *prevP, *currP
-	prev[0] = 0
-	for j := 1; j <= m; j++ {
-		prev[j] = math.Inf(1)
-	}
-	for i := 1; i <= n; i++ {
-		curr[0] = math.Inf(1)
-		for j := 1; j <= m; j++ {
-			cost := math.Abs(x[i-1] - y[j-1])
-			best := prev[j] // insertion
-			if prev[j-1] < best {
-				best = prev[j-1] // match
-			}
-			if curr[j-1] < best {
-				best = curr[j-1] // deletion
-			}
-			curr[j] = cost + best
-		}
-		prev, curr = curr, prev
-	}
-	res := prev[m]
-	dtwRows.Put(prevP)
-	dtwRows.Put(currP)
-	return res, nil
+	return DTWWindowed(x, y, -1)
 }
 
 // DTWWindowed computes DTW constrained to a Sakoe-Chiba band of the given
@@ -63,12 +31,24 @@ func DTW(x, y []float64) (float64, error) {
 // distance robust to pathological warps and cuts cost from O(n·m) to
 // O(n·radius).
 func DTWWindowed(x, y []float64, radius int) (float64, error) {
-	if radius < 0 {
-		return DTW(x, y)
-	}
+	r := dtwRows.Get().(*DTWRows)
+	d, err := r.Windowed(x, y, radius)
+	dtwRows.Put(r)
+	return d, err
+}
+
+// Windowed is DTWWindowed over r's rows.
+func (r *DTWRows) Windowed(x, y []float64, radius int) (float64, error) {
 	n, m := len(x), len(y)
 	if n == 0 || m == 0 {
 		return 0, fmt.Errorf("dsp: DTW of empty sequence (len %d vs %d)", n, m)
+	}
+	banded := radius >= 0
+	// A band wider than the table is unconstrained, and the unconstrained
+	// table is the band of radius n+m: every row spans columns [1, m].
+	// Clamping also keeps i+radius from overflowing on absurd radii.
+	if !banded || radius > n+m {
+		radius = n + m
 	}
 	// Widen the band enough to always reach the corner when lengths differ.
 	if d := m - n; d > 0 && radius < d {
@@ -76,13 +56,10 @@ func DTWWindowed(x, y []float64, radius int) (float64, error) {
 	} else if d := n - m; d > 0 && radius < d {
 		radius = d
 	}
-	// A band wider than the table is unconstrained; clamping also keeps
-	// i+radius from overflowing on absurd radii.
-	if radius > n+m {
-		radius = n + m
+	if cap(r.a) < m+1 || cap(r.b) < m+1 {
+		r.a, r.b = make([]float64, m+1), make([]float64, m+1)
 	}
-	prevP, currP := dtwRow(m+1), dtwRow(m+1)
-	prev, curr := *prevP, *currP
+	prev, curr := r.a[:m+1], r.b[:m+1]
 	for j := 0; j <= m; j++ {
 		prev[j] = math.Inf(1)
 	}
@@ -100,26 +77,21 @@ func DTWWindowed(x, y []float64, radius int) (float64, error) {
 		}
 		for j := lo; j <= hi; j++ {
 			cost := math.Abs(x[i-1] - y[j-1])
-			best := prev[j]
+			best := prev[j] // insertion
 			if prev[j-1] < best {
-				best = prev[j-1]
+				best = prev[j-1] // match
 			}
 			if curr[j-1] < best {
-				best = curr[j-1]
+				best = curr[j-1] // deletion
 			}
 			curr[j] = cost + best
 		}
 		prev, curr = curr, prev
 	}
-	if math.IsInf(prev[m], 1) {
-		dtwRows.Put(prevP)
-		dtwRows.Put(currP)
+	if banded && math.IsInf(prev[m], 1) {
 		return 0, fmt.Errorf("dsp: DTW band radius %d too narrow for lengths %d, %d", radius, n, m)
 	}
-	res := prev[m]
-	dtwRows.Put(prevP)
-	dtwRows.Put(currP)
-	return res, nil
+	return prev[m], nil
 }
 
 func maxInt(a, b int) int {

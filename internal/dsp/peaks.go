@@ -1,5 +1,7 @@
 package dsp
 
+import "slices"
+
 // Peak is a local maximum found by FindPeaks.
 type Peak struct {
 	// Index is the sample index of the peak.
@@ -17,11 +19,18 @@ type Peak struct {
 // its left neighbour and at least its right neighbour (plateaus report
 // their left edge), excluding the first and last samples.
 func FindPeaks(x []float64, minProminence float64) []Peak {
+	return AppendPeaks(nil, x, minProminence)
+}
+
+// AppendPeaks is FindPeaks appending to dst: it returns dst extended by
+// the peaks of x. A caller that passes dst[:0] back window after window
+// finds peaks without allocating once dst has grown to the largest peak
+// count it meets.
+func AppendPeaks(dst []Peak, x []float64, minProminence float64) []Peak {
 	n := len(x)
 	if n < 3 {
-		return nil
+		return dst
 	}
-	var peaks []Peak
 	i := 1
 	for i < n-1 {
 		if x[i] > x[i-1] {
@@ -36,8 +45,8 @@ func FindPeaks(x []float64, minProminence float64) []Peak {
 				mid := (i + j) / 2
 				prom := prominence(x, mid)
 				if prom >= minProminence {
-					//lint:ignore vclint/hotpathalloc the result holds at most window/2 peaks, so allocs/hop stays flat at the window bound the streaming benchmark gates
-					peaks = append(peaks, Peak{Index: mid, Height: x[mid], Prominence: prom})
+					//lint:ignore vclint/hotpathalloc at most window/2 peaks per window, and a reused dst stops growing once it holds the largest peak count seen
+					dst = append(dst, Peak{Index: mid, Height: x[mid], Prominence: prom})
 				}
 				i = j + 1
 				continue
@@ -47,7 +56,7 @@ func FindPeaks(x []float64, minProminence float64) []Peak {
 		}
 		i++
 	}
-	return peaks
+	return dst
 }
 
 // prominence computes the topographic prominence of the peak at index p:
@@ -83,9 +92,15 @@ func prominence(x []float64, p int) float64 {
 
 // PeakIndices returns just the indices of the peaks.
 func PeakIndices(peaks []Peak) []int {
-	out := make([]int, len(peaks))
+	return AppendPeakIndices(make([]int, 0, len(peaks)), peaks)
+}
+
+// AppendPeakIndices is PeakIndices appending to dst.
+func AppendPeakIndices(dst []int, peaks []Peak) []int {
+	n := len(dst)
+	dst = slices.Grow(dst, len(peaks))[:n+len(peaks)]
 	for i, p := range peaks {
-		out[i] = p.Index
+		dst[n+i] = p.Index
 	}
-	return out
+	return dst
 }

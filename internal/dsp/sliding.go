@@ -35,8 +35,14 @@ func NewSlidingConv(coef []float64) (*SlidingConv, error) {
 	if len(coef) < 1 || len(coef)%2 == 0 {
 		return nil, fmt.Errorf("dsp: sliding convolution needs odd-length coefficients, got %d", len(coef))
 	}
-	c := append([]float64(nil), coef...)
-	return &SlidingConv{coef: c, half: len(c) / 2, buf: make([]float64, len(c))}, nil
+	return newSlidingConv(append([]float64(nil), coef...)), nil
+}
+
+// newSlidingConv builds the operator over coef without copying it: the
+// filter designers hand over their own read-only coefficients, so every
+// operator built from one design shares a single coefficient slice.
+func newSlidingConv(coef []float64) *SlidingConv {
+	return &SlidingConv{coef: coef, half: len(coef) / 2, buf: make([]float64, len(coef))}
 }
 
 // Latency returns how many samples an output lags its input: half the
@@ -113,23 +119,15 @@ func (s *SlidingConv) at(i int) float64 {
 	return acc
 }
 
-// Sliding returns an incremental operator applying this filter.
-func (f *LowPassFIR) Sliding() *SlidingConv {
-	s, err := NewSlidingConv(f.taps)
-	if err != nil {
-		panic(err) // unreachable: the designer enforces odd taps >= 3
-	}
-	return s
-}
+// Sliding returns an incremental operator applying this filter. The
+// operator shares the filter's coefficients rather than copying them;
+// the designer guarantees odd taps >= 3.
+func (f *LowPassFIR) Sliding() *SlidingConv { return newSlidingConv(f.taps) }
 
-// Sliding returns an incremental operator applying this smoother.
-func (s *SavitzkyGolay) Sliding() *SlidingConv {
-	c, err := NewSlidingConv(s.coef)
-	if err != nil {
-		panic(err) // unreachable: the designer enforces odd window >= 3
-	}
-	return c
-}
+// Sliding returns an incremental operator applying this smoother. The
+// operator shares the smoother's coefficients rather than copying them;
+// the designer guarantees an odd window >= 3.
+func (s *SavitzkyGolay) Sliding() *SlidingConv { return newSlidingConv(s.coef) }
 
 // SlidingVariance is the incremental form of MovingVariance: a trailing
 // population variance over the given window with running sums. Emits one

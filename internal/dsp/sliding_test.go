@@ -276,3 +276,31 @@ func randSignal(rng *rand.Rand, n int) []float64 {
 	}
 	return out
 }
+
+// TestSlidingSharesDesignedCoefficients: operators built by a designer's
+// Sliding share its coefficient slice (one copy per design, not per
+// stream), while NewSlidingConv copies caller-owned coefficients.
+func TestSlidingSharesDesignedCoefficients(t *testing.T) {
+	lp, err := NewLowPassFIR(1, 10, 21)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sg, err := NewSavitzkyGolay(31, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := lp.Sliding(), lp.Sliding(); &a.coef[0] != &b.coef[0] || &a.coef[0] != &lp.taps[0] || &a.buf[0] == &b.buf[0] {
+		t.Error("low-pass operators must share the design's taps and own their rings")
+	}
+	if a, b := sg.Sliding(), sg.Sliding(); &a.coef[0] != &b.coef[0] || &a.coef[0] != &sg.coef[0] {
+		t.Error("Savitzky-Golay operators must share the design's coefficients")
+	}
+	coef := []float64{0.25, 0.5, 0.25}
+	c, err := NewSlidingConv(coef)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &c.coef[0] == &coef[0] {
+		t.Error("NewSlidingConv must copy caller-owned coefficients")
+	}
+}

@@ -31,12 +31,18 @@ func StdDev(x []float64) float64 {
 	return math.Sqrt(acc / float64(len(x)))
 }
 
-// NormalizeUnit rescales x to [0, 1] in place semantics-free (returns a new
-// slice). A constant signal maps to all zeros. This is the paper's
-// normalization of the smoothed variance signal before trend comparison
-// (Section VI-2).
+// NormalizeUnit rescales x to [0, 1] into a new slice. A constant signal
+// maps to all zeros. This is the paper's normalization of the smoothed
+// variance signal before trend comparison (Section VI-2).
 func NormalizeUnit(x []float64) []float64 {
-	out := make([]float64, len(x))
+	return NormalizeUnitInto(make([]float64, len(x)), x)
+}
+
+// NormalizeUnitInto is NormalizeUnit writing into dst, which is resized
+// to len(x) (reallocated only when too small) and returned. dst may
+// alias x.
+func NormalizeUnitInto(dst, x []float64) []float64 {
+	out := resize(dst, len(x))
 	if len(x) == 0 {
 		return out
 	}
@@ -51,12 +57,22 @@ func NormalizeUnit(x []float64) []float64 {
 	}
 	span := hi - lo
 	if ApproxZero(span) {
+		clear(out)
 		return out
 	}
 	for i, v := range x {
 		out[i] = (v - lo) / span
 	}
 	return out
+}
+
+// resize returns buf with length n, reusing its backing array when it is
+// large enough. The contents are not cleared.
+func resize(buf []float64, n int) []float64 {
+	if cap(buf) < n {
+		return make([]float64, n)
+	}
+	return buf[:n]
 }
 
 // Pearson returns the Pearson correlation coefficient between equal-length
@@ -96,8 +112,13 @@ func Pearson(x, y []float64) (float64, error) {
 // start; negative shifts move content left with replicate padding at the
 // end. Used to remove the estimated network delay (Section VI-2).
 func Shift(x []float64, samples int) []float64 {
-	n := len(x)
-	out := make([]float64, n)
+	return ShiftInto(make([]float64, len(x)), x, samples)
+}
+
+// ShiftInto is Shift writing into dst, which is resized to len(x)
+// (reallocated only when too small) and returned. dst must not alias x.
+func ShiftInto(dst, x []float64, samples int) []float64 {
+	out := resize(dst, len(x))
 	for i := range out {
 		out[i] = edgeAt(x, i-samples)
 	}

@@ -93,8 +93,16 @@ func (c Config) Validate() error {
 // number of matched tx changes and G(T,R) the number of matched rx
 // changes; with one-to-one matching both equal len(pairs).
 func MatchChanges(tx, rx []int, minOffset, maxOffset int) [][2]int {
-	used := make([]bool, len(rx))
-	var pairs [][2]int
+	pairs, _ := appendMatches(nil, nil, tx, rx, minOffset, maxOffset)
+	return pairs
+}
+
+// appendMatches is MatchChanges appending to pairs, with used as the
+// scratch marking claimed rx changes: it is resized to len(rx), cleared,
+// and returned for reuse.
+func appendMatches(pairs [][2]int, used []bool, tx, rx []int, minOffset, maxOffset int) ([][2]int, []bool) {
+	used = resize(used, len(rx))
+	clear(used)
 	for i, t := range tx {
 		best := -1
 		bestDist := maxOffset - minOffset + 1
@@ -120,11 +128,20 @@ func MatchChanges(tx, rx []int, minOffset, maxOffset int) [][2]int {
 		}
 		if best >= 0 {
 			used[best] = true
-			//lint:ignore vclint/hotpathalloc at most one pair per transmitted peak, so the result is bounded by the peaks in one window
+			//lint:ignore vclint/hotpathalloc at most one pair per transmitted peak, so the result is bounded by the peaks in one window, and a reused slice stops growing at the largest count seen
 			pairs = append(pairs, [2]int{i, best})
 		}
 	}
-	return pairs
+	return pairs, used
+}
+
+// resize returns buf with length n, reusing its backing array when it is
+// large enough. The contents are not cleared.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 // EstimateDelay returns the mean signed offset (rx - tx, in samples) over
@@ -162,6 +179,28 @@ func Extract(tx, rx *preprocess.Result, cfg Config) (Vector, error) {
 
 // ExtractWithDetail is Extract plus the diagnostic quantities.
 func ExtractWithDetail(tx, rx *preprocess.Result, cfg Config) (Vector, Detail, error) {
+	var e Extractor
+	return e.Extract(tx, rx, cfg)
+}
+
+// Extractor is ExtractWithDetail with working buffers that outlive a
+// call: change times, match pairs and flags, the aligned and normalized
+// windows, and the DTW rows. A long-lived Extractor extracts without
+// allocating once its buffers have grown to the largest window it has
+// seen. Every buffer is rewritten before it is read, so reuse cannot
+// change a result bit. The zero value is ready; an Extractor is not safe
+// for concurrent use.
+type Extractor struct {
+	txTimes, rxTimes, rxShifted []int
+	coarse, pairs               [][2]int
+	used                        []bool // appendMatches' claimed-rx scratch
+	matchedTx, matchedRx        []bool
+	aligned, normTx, normRx     []float64
+	dtw                         dsp.DTWRows
+}
+
+// Extract is ExtractWithDetail over e's buffers.
+func (e *Extractor) Extract(tx, rx *preprocess.Result, cfg Config) (Vector, Detail, error) {
 	if err := cfg.Validate(); err != nil {
 		return Vector{}, Detail{}, err
 	}
@@ -176,8 +215,9 @@ func ExtractWithDetail(tx, rx *preprocess.Result, cfg Config) (Vector, Detail, e
 	}
 
 	n := len(tx.Smoothed)
-	txTimes := tx.ChangeTimes()
-	rxTimes := rx.ChangeTimes()
+	e.txTimes = dsp.AppendPeakIndices(e.txTimes[:0], tx.Peaks)
+	e.rxTimes = dsp.AppendPeakIndices(e.rxTimes[:0], rx.Peaks)
+	txTimes, rxTimes := e.txTimes, e.rxTimes
 
 	// Pass 1 (coarse): pair changes within the full tolerance and
 	// estimate the shared delay. Causality bounds the offset window: the
@@ -186,37 +226,31 @@ func ExtractWithDetail(tx, rx *preprocess.Result, cfg Config) (Vector, Detail, e
 	// re-pair after removing the delay, with the tight tolerance —
 	// genuine responses all share the network delay; coincidental
 	// alignments rarely do.
-	coarse := MatchChanges(txTimes, rxTimes, 0, cfg.MatchToleranceSamples)
-	delay := EstimateDelay(txTimes, rxTimes, coarse)
+	e.coarse, e.used = appendMatches(e.coarse[:0], e.used, txTimes, rxTimes, 0, cfg.MatchToleranceSamples)
+	delay := EstimateDelay(txTimes, rxTimes, e.coarse)
 	if delay < 0 {
 		delay = 0
 	}
-	rxShifted := make([]int, len(rxTimes))
+	e.rxShifted = resize(e.rxShifted, len(rxTimes))
 	for i, r := range rxTimes {
-		rxShifted[i] = r - delay
+		e.rxShifted[i] = r - delay
 	}
-	pairs := MatchChanges(txTimes, rxShifted, -cfg.RefineToleranceSamples, cfg.RefineToleranceSamples)
+	e.pairs, e.used = appendMatches(e.pairs[:0], e.used, txTimes, e.rxShifted, -cfg.RefineToleranceSamples, cfg.RefineToleranceSamples)
+	pairs := e.pairs
 
 	// Denominators: matched changes always count; unmatched changes
 	// count only when they lie outside the boundary guard zones, where
 	// the counterpart signal had a fair chance to register them.
-	matchedTx := make(map[int]bool, len(pairs))
-	matchedRx := make(map[int]bool, len(pairs))
+	e.matchedTx = resize(e.matchedTx, len(txTimes))
+	e.matchedRx = resize(e.matchedRx, len(rxTimes))
+	clear(e.matchedTx)
+	clear(e.matchedRx)
 	for _, p := range pairs {
-		matchedTx[p[0]] = true
-		matchedRx[p[1]] = true
+		e.matchedTx[p[0]] = true
+		e.matchedRx[p[1]] = true
 	}
-	countEligible := func(times []int, matched map[int]bool) int {
-		count := 0
-		for i, idx := range times {
-			if matched[i] || (idx >= cfg.GuardSamples && idx < n-cfg.GuardSamples) {
-				count++
-			}
-		}
-		return count
-	}
-	nTx := countEligible(txTimes, matchedTx)
-	nRx := countEligible(rxTimes, matchedRx)
+	nTx := countEligible(txTimes, e.matchedTx, cfg.GuardSamples, n)
+	nRx := countEligible(rxTimes, e.matchedRx, cfg.GuardSamples, n)
 
 	var v Vector
 	switch {
@@ -233,12 +267,12 @@ func ExtractWithDetail(tx, rx *preprocess.Result, cfg Config) (Vector, Detail, e
 
 	// Trend comparison: remove the estimated delay, normalize to [0, 1],
 	// split into two halves, and score each pair of segments.
-	alignedRx := dsp.Shift(rx.Smoothed, -delay)
-	nt := dsp.NormalizeUnit(tx.Smoothed)
-	nr := dsp.NormalizeUnit(alignedRx)
+	e.aligned = dsp.ShiftInto(e.aligned, rx.Smoothed, -delay)
+	e.normTx = dsp.NormalizeUnitInto(e.normTx, tx.Smoothed)
+	e.normRx = dsp.NormalizeUnitInto(e.normRx, e.aligned)
 
-	t1, t2 := dsp.SplitHalves(nt)
-	r1, r2 := dsp.SplitHalves(nr)
+	t1, t2 := dsp.SplitHalves(e.normTx)
+	r1, r2 := dsp.SplitHalves(e.normRx)
 
 	c1, err := dsp.Pearson(t1, r1)
 	if err != nil {
@@ -250,11 +284,11 @@ func ExtractWithDetail(tx, rx *preprocess.Result, cfg Config) (Vector, Detail, e
 	}
 	v.Z3 = math.Min(c1, c2)
 
-	d1, err := dsp.DTWWindowed(t1, r1, cfg.DTWBandRadius)
+	d1, err := e.dtw.Windowed(t1, r1, cfg.DTWBandRadius)
 	if err != nil {
 		return Vector{}, Detail{}, fmt.Errorf("features: first-half DTW: %w", err)
 	}
-	d2, err := dsp.DTWWindowed(t2, r2, cfg.DTWBandRadius)
+	d2, err := e.dtw.Windowed(t2, r2, cfg.DTWBandRadius)
 	if err != nil {
 		return Vector{}, Detail{}, fmt.Errorf("features: second-half DTW: %w", err)
 	}
@@ -267,4 +301,17 @@ func ExtractWithDetail(tx, rx *preprocess.Result, cfg Config) (Vector, Detail, e
 		DelaySamples: delay,
 	}
 	return v, detail, nil
+}
+
+// countEligible counts the changes that enter a behaviour denominator:
+// matched ones, and unmatched ones outside the guard zones of an
+// n-sample window.
+func countEligible(times []int, matched []bool, guard, n int) int {
+	count := 0
+	for i, idx := range times {
+		if matched[i] || (idx >= guard && idx < n-guard) {
+			count++
+		}
+	}
+	return count
 }

@@ -215,3 +215,28 @@ func TestSnapshotRebuildsIndex(t *testing.T) {
 		t.Fatalf("restored score %v != original %v", b, a)
 	}
 }
+
+// TestScoreBeyondStackBuffer: Score queries into a stack buffer of
+// scoreStackNeighbors; a larger k must spill to the heap and still score
+// bit-identically to the brute-force path.
+func TestScoreBeyondStackBuffer(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	pts := pointSets(rng)["clustered"]
+	for _, k := range []int{scoreStackNeighbors, scoreStackNeighbors + 1, scoreStackNeighbors + 9} {
+		indexed, brute := indexedAndBrute(t, pts, k)
+		for q := 0; q < 20; q++ {
+			probe := []float64{20 * rng.Float64(), 2 * rng.Float64(), -2 * rng.Float64(), rng.Float64()}
+			si, err := indexed.Score(probe)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sb, err := brute.Score(probe)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(si) != math.Float64bits(sb) {
+				t.Fatalf("k=%d probe %d: score %v indexed, %v brute", k, q, si, sb)
+			}
+		}
+	}
+}

@@ -77,12 +77,18 @@ type neighbor struct {
 }
 
 // neighborsOf returns the k nearest training points to x, excluding the
-// training index skip (-1 to exclude none). It queries the precomputed
-// KD-tree index; results are bit-identical to the brute-force scan
-// (index_test.go enforces this), which remains as the reference path.
+// training index skip (-1 to exclude none), in a new slice.
 func (m *Model) neighborsOf(x []float64, skip int) []neighbor {
+	return m.neighborsInto(make([]neighbor, 0, m.k), x, skip)
+}
+
+// neighborsInto is neighborsOf reusing buf's backing array (it grows
+// only when k exceeds its capacity). It queries the precomputed KD-tree
+// index; results are bit-identical to the brute-force scan
+// (index_test.go enforces this), which remains as the reference path.
+func (m *Model) neighborsInto(buf []neighbor, x []float64, skip int) []neighbor {
 	if m.index != nil {
-		return m.index.search(x, m.k, skip, make([]neighbor, 0, m.k))
+		return m.index.search(x, m.k, skip, buf)
 	}
 	return m.bruteNeighborsOf(x, skip)
 }
@@ -145,6 +151,10 @@ func (m *Model) lrdOf(ns []neighbor) float64 {
 	return 1 / mean
 }
 
+// scoreStackNeighbors is how many neighbours Score keeps on the stack;
+// a larger k spills its query buffer to the heap.
+const scoreStackNeighbors = 16
+
 // Score returns LOF_k(x) for a query vector: ~1 for inliers, larger for
 // outliers. Infinite training densities (duplicate clusters) score as 1
 // when the query sits on them and +Inf when it does not.
@@ -162,7 +172,8 @@ func (m *Model) Score(x []float64) (float64, error) {
 	if bad >= 0 {
 		return 0, fmt.Errorf("lof: query component %d is not finite", bad)
 	}
-	ns := m.neighborsOf(x, -1)
+	var buf [scoreStackNeighbors]neighbor
+	ns := m.neighborsInto(buf[:0], x, -1)
 	queryLRD := m.lrdOf(ns)
 	var sum float64
 	var infs int

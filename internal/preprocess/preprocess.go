@@ -136,18 +136,14 @@ func Process(sig []float64, cfg Config, prominence float64) (*Result, error) {
 		return nil, fmt.Errorf("preprocess: signal of %d samples shorter than SG window %d", len(sig), cfg.SGWindow)
 	}
 	start := time.Now() //lint:ignore vclint/nodeterm stage latency metric only; the filter chain output is clock-free
-	lp, err := dsp.NewLowPassFIR(cfg.LowPassCutoffHz, cfg.Fs, cfg.LowPassTaps)
+	d, err := NewChainDesign(cfg)
 	if err != nil {
-		return nil, fmt.Errorf("preprocess: %w", err)
-	}
-	sg, err := dsp.NewSavitzkyGolay(cfg.SGWindow, cfg.SGOrder)
-	if err != nil {
-		return nil, fmt.Errorf("preprocess: %w", err)
+		return nil, err
 	}
 	t := time.Now() //lint:ignore vclint/nodeterm stage latency metric only; the filter chain output is clock-free
 	stageDesign.Observe(t.Sub(start).Seconds())
 
-	filtered := lp.Apply(sig)
+	filtered := d.lp.Apply(sig)
 	t = stamp(stageLowpass, t)
 	variance := dsp.MovingVariance(filtered, cfg.VarianceWindow)
 	t = stamp(stageVariance, t)
@@ -155,7 +151,7 @@ func Process(sig []float64, cfg Config, prominence float64) (*Result, error) {
 	t = stamp(stageThreshold, t)
 	rms := dsp.MovingRMS(thresholded, cfg.RMSWindow)
 	t = stamp(stageRMS, t)
-	sgOut := sg.Apply(rms)
+	sgOut := d.sg.Apply(rms)
 	t = stamp(stageSavGol, t)
 	smoothed := dsp.MovingMean(sgOut, cfg.SmoothWindow)
 	// Polynomial fitting can undershoot below zero near sharp edges;

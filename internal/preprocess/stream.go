@@ -30,8 +30,19 @@ type StreamChain struct {
 	latency   int
 }
 
-// NewStreamChain builds the incremental chain for one signal.
-func NewStreamChain(cfg Config) (*StreamChain, error) {
+// ChainDesign is the designed filter chain of one Config: the low-pass
+// FIR and Savitzky-Golay coefficients, computed once. It is read-only
+// after NewChainDesign, so every StreamChain built from it — in any
+// goroutine — shares its coefficient slices instead of designing and
+// storing its own.
+type ChainDesign struct {
+	cfg Config
+	lp  *dsp.LowPassFIR
+	sg  *dsp.SavitzkyGolay
+}
+
+// NewChainDesign validates cfg and designs its two centred filters.
+func NewChainDesign(cfg Config) (*ChainDesign, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -43,16 +54,33 @@ func NewStreamChain(cfg Config) (*StreamChain, error) {
 	if err != nil {
 		return nil, fmt.Errorf("preprocess: %w", err)
 	}
+	return &ChainDesign{cfg: cfg, lp: lp, sg: sg}, nil
+}
+
+// NewChain builds an incremental chain over the design's shared
+// coefficients. Only the chain's rings and running sums are its own.
+func (d *ChainDesign) NewChain() *StreamChain {
 	c := &StreamChain{
-		threshold: cfg.VarianceThreshold,
-		fir:       lp.Sliding(),
-		vari:      dsp.NewSlidingVariance(cfg.VarianceWindow),
-		rms:       dsp.NewSlidingRMS(cfg.RMSWindow),
-		sg:        sg.Sliding(),
-		mean:      dsp.NewSlidingMean(cfg.SmoothWindow),
+		threshold: d.cfg.VarianceThreshold,
+		fir:       d.lp.Sliding(),
+		vari:      dsp.NewSlidingVariance(d.cfg.VarianceWindow),
+		rms:       dsp.NewSlidingRMS(d.cfg.RMSWindow),
+		sg:        d.sg.Sliding(),
+		mean:      dsp.NewSlidingMean(d.cfg.SmoothWindow),
 	}
 	c.latency = c.fir.Latency() + c.sg.Latency()
-	return c, nil
+	return c
+}
+
+// NewStreamChain builds the incremental chain for one signal: a design
+// of its own, then NewChain. Callers building many chains from one
+// Config share a ChainDesign instead.
+func NewStreamChain(cfg Config) (*StreamChain, error) {
+	d, err := NewChainDesign(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return d.NewChain(), nil
 }
 
 // Latency returns how many samples a smoothed output lags its raw input:
@@ -119,22 +147,15 @@ func (c *StreamChain) smooth(s float64) float64 {
 // intermediate-stage capture, peak finding, and length gate: streaming
 // callers window the smoothed signal themselves.
 func SmoothSignal(sig []float64, cfg Config) ([]float64, error) {
-	if err := cfg.Validate(); err != nil {
+	d, err := NewChainDesign(cfg)
+	if err != nil {
 		return nil, err
 	}
-	lp, err := dsp.NewLowPassFIR(cfg.LowPassCutoffHz, cfg.Fs, cfg.LowPassTaps)
-	if err != nil {
-		return nil, fmt.Errorf("preprocess: %w", err)
-	}
-	sg, err := dsp.NewSavitzkyGolay(cfg.SGWindow, cfg.SGOrder)
-	if err != nil {
-		return nil, fmt.Errorf("preprocess: %w", err)
-	}
-	filtered := lp.Apply(sig)
+	filtered := d.lp.Apply(sig)
 	variance := dsp.MovingVariance(filtered, cfg.VarianceWindow)
 	thresholded := dsp.ThresholdFloor(variance, cfg.VarianceThreshold)
 	rms := dsp.MovingRMS(thresholded, cfg.RMSWindow)
-	smoothed := dsp.MovingMean(sg.Apply(rms), cfg.SmoothWindow)
+	smoothed := dsp.MovingMean(d.sg.Apply(rms), cfg.SmoothWindow)
 	for i, v := range smoothed {
 		if v < 0 {
 			smoothed[i] = 0

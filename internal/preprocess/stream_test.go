@@ -121,3 +121,45 @@ func TestStreamChainRejectsBadConfig(t *testing.T) {
 		t.Fatal("SmoothSignal accepted invalid config")
 	}
 }
+
+// TestChainDesignSharedByInterleavedChains: chains built from one
+// ChainDesign share its coefficients, yet interleaved pushes into two of
+// them reproduce two independently designed chains bit for bit — the
+// shared slices are read-only.
+func TestChainDesignSharedByInterleavedChains(t *testing.T) {
+	cfg := DefaultConfig(10)
+	design, err := NewChainDesign(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := design.NewChain(), design.NewChain()
+	refA, err := NewStreamChain(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refB, err := NewStreamChain(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(31))
+	sigA, sigB := make([]float64, 400), make([]float64, 400)
+	for i := range sigA {
+		sigA[i] = 120 + 80*math.Sin(float64(i)/9) + 10*rng.NormFloat64()
+		sigB[i] = 90 + 40*math.Sin(float64(i)/5) + 3*rng.NormFloat64()
+	}
+	for i := range sigA {
+		ga, oka := a.Push(sigA[i])
+		gb, okb := b.Push(sigB[i])
+		wa, _ := refA.Push(sigA[i])
+		wb, _ := refB.Push(sigB[i])
+		if !oka || !okb {
+			continue
+		}
+		if math.Float64bits(ga) != math.Float64bits(wa) || math.Float64bits(gb) != math.Float64bits(wb) {
+			t.Fatalf("sample %d: shared-design chains %v, %v; own designs %v, %v", i, ga, gb, wa, wb)
+		}
+	}
+	if _, err := NewChainDesign(Config{}); err == nil {
+		t.Error("zero config designed")
+	}
+}
