@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -267,7 +268,7 @@ func BenchmarkSimulateSession(b *testing.B) {
 	}
 }
 
-// Batch-engine benchmarks: the sequential Detect loop versus DetectBatch
+// Batch-engine benchmarks: the sequential Detect loop versus BatchDetector
 // over the same multi-window input at several pool sizes. Each reports
 // windows/sec; divide a batch rate by the sequential rate for the
 // speedup. On a single-core runner (GOMAXPROCS=1) the batch path can only
@@ -315,7 +316,7 @@ func benchmarkDetectBatch(b *testing.B, workers int) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, r := range bd.Detect(windows) {
+		for _, r := range bd.Detect(context.Background(), windows, guard.Guardrails{}) {
 			if r.Err != nil {
 				b.Fatal(r.Err)
 			}

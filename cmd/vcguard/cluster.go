@@ -6,7 +6,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"math/rand"
 	"net"
 	"os"
 	"path/filepath"
@@ -19,9 +18,7 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/chat"
 	"repro/internal/cluster"
-	"repro/internal/luminance"
 	"repro/internal/sessionstore"
-	"repro/trace"
 )
 
 // runCluster is the multi-instance mode. By default it runs the
@@ -163,80 +160,6 @@ const (
 	liveSegmentSec = 6.0
 )
 
-// liveSpec builds one live instance: a scheduler whose judge advances a
-// call by one segment against the instance's own session store, exactly
-// the serve -state-dir pattern but with per-instance stores so a drain
-// has something to migrate.
-func liveSpec(det *guard.Detector, extract func(*chat.Trace) (trace.Session, error),
-	store *sessionstore.Store[servedState], workers, queue int) cluster.InstanceSpec {
-	judgeSeg := func(id string, tr *chat.Trace, prior *servedState) (any, error) {
-		sess, err := extract(tr)
-		if err != nil {
-			return nil, err
-		}
-		st := servedState{ID: id, Total: liveSegments}
-		var sd *guard.StreamDetector
-		if prior != nil {
-			st = *prior
-			sd, err = det.ResumeStreamDetector(prior.Stream)
-		} else {
-			sd, err = det.NewStreamDetector(guard.DefaultStreamConfig())
-		}
-		if err != nil {
-			return nil, err
-		}
-		for i := range sess.T {
-			sd.Push(guard.StreamSample{Transmitted: sess.T[i], Received: sess.R[i]})
-		}
-		st.Done++
-		if st.Done < st.Total {
-			st.Stream = sd.Export()
-			if err := store.Put(id, admission.Standard, st); err != nil {
-				return nil, fmt.Errorf("park: %w", err)
-			}
-			return servedProgress{Done: st.Done, Total: st.Total}, nil
-		}
-		sd.Finish()
-		rep := guard.StreamReport{Results: sd.Results()}
-		rep.Conclusive, rep.Inconclusive = sd.Windows()
-		for _, r := range rep.Results {
-			if !r.Inconclusive && r.Verdict.Attacker {
-				rep.AttackerVotes++
-			}
-		}
-		if rep.Conclusive > 0 {
-			if rep.Flagged, err = sd.Flagged(); err != nil {
-				return nil, err
-			}
-		}
-		return rep, nil
-	}
-	return cluster.InstanceSpec{
-		Scheduler: chat.SchedulerConfig{
-			Workers:        workers,
-			SessionTimeout: 60 * time.Second,
-			Admission:      &chat.AdmissionConfig{QueueCapacity: queue},
-			Judge: func(id string, tr *chat.Trace) (any, error) {
-				return judgeSeg(id, tr, nil)
-			},
-			JudgeResumed: func(id string, tr *chat.Trace, resumed any) (any, error) {
-				st, ok := resumed.(servedState)
-				if !ok {
-					return nil, fmt.Errorf("resumed state is %T, want servedState", resumed)
-				}
-				return judgeSeg(id, tr, &st)
-			},
-			Salvage: func(id string, partial *chat.Trace, resumed any) (any, error) {
-				if st, ok := resumed.(servedState); ok {
-					return st, nil
-				}
-				return nil, nil
-			},
-		},
-		States: sessionstore.Bind(store),
-	}
-}
-
 // liveParams carries the runCluster flag values the live path needs.
 type liveParams struct {
 	pol                                 cluster.Policy
@@ -284,37 +207,7 @@ func runClusterLive(p liveParams) error {
 		}
 	}
 
-	// Train on the chat pipeline, as serve does.
-	fmt.Println("training on 10 simulated genuine call sessions...")
-	extract := func(tr *chat.Trace) (trace.Session, error) {
-		ex, err := luminance.New(luminance.DefaultConfig(), rand.New(rand.NewSource(1)))
-		if err != nil {
-			return trace.Session{}, err
-		}
-		rx, err := ex.FaceSignal(tr.Peer)
-		if err != nil {
-			return trace.Session{}, err
-		}
-		return trace.Session{Fs: tr.Fs, T: tr.T, R: rx}, nil
-	}
-	var train []trace.Session
-	for i := 0; i < 10; i++ {
-		req, err := serveRequest(fmt.Sprintf("train-%d", i), seed+int64(1000+i), 15)
-		if err != nil {
-			return err
-		}
-		tr, err := chat.RunSession(req.Config, req.Verifier, req.Peer)
-		if err != nil {
-			return err
-		}
-		sess, err := extract(tr)
-		if err != nil {
-			return err
-		}
-		sess.Ground = trace.LabelLegit
-		train = append(train, sess)
-	}
-	det, err := guard.TrainFromTraces(guard.DefaultOptions(), train)
+	det, err := trainOnChat(seed)
 	if err != nil {
 		return err
 	}
@@ -342,8 +235,17 @@ func runClusterLive(p liveParams) error {
 			recoveredN += n
 			corruptN += len(faults)
 		}
-		specs[i] = liveSpec(det, extract, st, workers, queue)
-		specs[i].CheckpointPath = statePaths[i]
+		// Each instance runs serve -state-dir's segmented judge against a
+		// store of its own, so a drain has something to migrate.
+		specs[i] = cluster.InstanceSpec{
+			Scheduler: segmentJudged(chat.SchedulerConfig{
+				Workers:        workers,
+				SessionTimeout: 60 * time.Second,
+				Admission:      &chat.AdmissionConfig{QueueCapacity: queue},
+			}, det, st, liveSegments),
+			States:         sessionstore.Bind(st),
+			CheckpointPath: statePaths[i],
+		}
 	}
 	if p.stateDir != "" {
 		fmt.Printf("state: recovered %d sessions, %d corrupt records, from %s\n", recoveredN, corruptN, p.stateDir)

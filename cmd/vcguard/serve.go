@@ -73,46 +73,13 @@ func runServe(args []string) error {
 		return err
 	}
 
-	// Train on traces from the same chat pipeline the service verifies,
-	// so the genuine model matches what the judge will see.
-	fmt.Println("training on 10 simulated genuine call sessions...")
-	extract := func(tr *chat.Trace) (trace.Session, error) {
-		ex, err := luminance.New(luminance.DefaultConfig(), rand.New(rand.NewSource(1)))
-		if err != nil {
-			return trace.Session{}, err
-		}
-		rx, err := ex.FaceSignal(tr.Peer)
-		if err != nil {
-			return trace.Session{}, err
-		}
-		return trace.Session{Fs: tr.Fs, T: tr.T, R: rx}, nil
-	}
-	var train []trace.Session
-	for i := 0; i < 10; i++ {
-		// Training stays at the paper's 15 s window regardless of
-		// -session-sec: the enrollment features are per-window.
-		req, err := serveRequest(fmt.Sprintf("train-%d", i), *seed+int64(1000+i), 15)
-		if err != nil {
-			return err
-		}
-		tr, err := chat.RunSession(req.Config, req.Verifier, req.Peer)
-		if err != nil {
-			return err
-		}
-		sess, err := extract(tr)
-		if err != nil {
-			return err
-		}
-		sess.Ground = trace.LabelLegit
-		train = append(train, sess)
-	}
-	det, err := guard.TrainFromTraces(guard.DefaultOptions(), train)
+	det, err := trainOnChat(*seed)
 	if err != nil {
 		return err
 	}
 
 	if *stateDir != "" {
-		return runServeState(det, extract, serveStateParams{
+		return runServeState(det, serveStateParams{
 			sessions: *sessions, workers: *workers, queue: *queue,
 			rate: *rate, drainBudget: *drainBudget,
 			sessionSec: *sessionSec, segmentSec: *segmentSec,
@@ -122,12 +89,16 @@ func runServe(args []string) error {
 	}
 
 	judge := func(id string, tr *chat.Trace) (any, error) {
-		sess, err := extract(tr)
+		sess, err := chatSession(tr)
 		if err != nil {
 			return nil, err
 		}
 		if *judgeMode == "stream" {
-			return det.DetectTraceStream(sess, guard.DefaultStreamConfig())
+			samples := make([]guard.StreamSample, len(sess.T))
+			for i := range sess.T {
+				samples[i] = guard.StreamSample{Transmitted: sess.T[i], Received: sess.R[i]}
+			}
+			return det.DetectStreamSamples(samples, guard.DefaultStreamConfig())
 		}
 		// Batch mode judges the paper's 15 s windows: the enrollment
 		// features are per-window, so a longer session is tiled and
@@ -239,6 +210,46 @@ func runServe(args []string) error {
 	fmt.Printf("\nsubmitted %d, completed %d, failed/drained %d, shed %d, unfinished %d\n",
 		submitted, completed, failed, shedCount, len(unfinished))
 	return nil
+}
+
+// trainOnChat trains a detector on 10 simulated genuine calls from the
+// same chat pipeline the service verifies, so the genuine model matches
+// what the judge will see. Training stays at the paper's 15 s window
+// whatever the call length: the enrollment features are per-window.
+func trainOnChat(seed int64) (*guard.Detector, error) {
+	fmt.Println("training on 10 simulated genuine call sessions...")
+	var train []trace.Session
+	for i := 0; i < 10; i++ {
+		req, err := serveRequest(fmt.Sprintf("train-%d", i), seed+int64(1000+i), 15)
+		if err != nil {
+			return nil, err
+		}
+		tr, err := chat.RunSession(req.Config, req.Verifier, req.Peer)
+		if err != nil {
+			return nil, err
+		}
+		sess, err := chatSession(tr)
+		if err != nil {
+			return nil, err
+		}
+		sess.Ground = trace.LabelLegit
+		train = append(train, sess)
+	}
+	return guard.TrainFromTraces(guard.DefaultOptions(), train)
+}
+
+// chatSession pairs a chat trace's transmitted luminance with the face
+// luminance extracted from the peer's video.
+func chatSession(tr *chat.Trace) (trace.Session, error) {
+	ex, err := luminance.New(luminance.DefaultConfig(), rand.New(rand.NewSource(1)))
+	if err != nil {
+		return trace.Session{}, err
+	}
+	rx, err := ex.FaceSignal(tr.Peer)
+	if err != nil {
+		return trace.Session{}, err
+	}
+	return trace.Session{Fs: tr.Fs, T: tr.T, R: rx}, nil
 }
 
 // serveRequest assembles one simulated genuine call session of the given

@@ -17,7 +17,6 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/chat"
 	"repro/internal/sessionstore"
-	"repro/trace"
 )
 
 // The crash-safe serve path: with -state-dir set, each call runs as a
@@ -56,36 +55,14 @@ type serveStateParams struct {
 	seed                     int64
 }
 
-// runServeState is serve with a session-state store behind it.
-func runServeState(det *guard.Detector, extract func(*chat.Trace) (trace.Session, error), p serveStateParams) error {
-	totalSegs := int(math.Ceil(p.sessionSec / p.segmentSec))
-	if totalSegs < 1 {
-		totalSegs = 1
-	}
-	store, err := sessionstore.New[servedState](
-		sessionstore.Config{MaxHot: p.workers * 2}, sessionstore.JSONCodec[servedState]{})
-	if err != nil {
-		return err
-	}
-
-	// Recovery: rehydrate whatever the previous run (or crash) left on
-	// disk. Damaged records surface as typed faults; the survivors land
-	// warm and resume below.
-	statePath := filepath.Join(p.stateDir, "sessions.vcr")
-	recovered, faults, err := store.RecoverFile(statePath)
-	if err != nil {
-		return err
-	}
-	for _, f := range faults {
-		fmt.Fprintf(os.Stderr, "vcguard: state: corrupt record: %v\n", f)
-	}
-	fmt.Printf("state: recovered %d sessions, %d corrupt records, from %s\n", recovered, len(faults), statePath)
-
-	// judgeSeg advances one call by one segment: resume (or create) the
-	// stream detector, push the segment's samples, and either finish with
-	// a StreamReport or park the updated state for the next segment.
+// segmentJudged returns cfg with the segmented judge's callbacks: each
+// scheduled run advances one call by one of totalSegs segments — resume
+// (or create) the stream detector, push the segment's samples, and either
+// finish with a StreamReport or park the updated state in store for the
+// next segment.
+func segmentJudged(cfg chat.SchedulerConfig, det *guard.Detector, store *sessionstore.Store[servedState], totalSegs int) chat.SchedulerConfig {
 	judgeSeg := func(id string, tr *chat.Trace, prior *servedState) (any, error) {
-		sess, err := extract(tr)
+		sess, err := chatSession(tr)
 		if err != nil {
 			return nil, err
 		}
@@ -126,31 +103,58 @@ func runServeState(det *guard.Detector, extract func(*chat.Trace) (trace.Session
 		}
 		return rep, nil
 	}
+	cfg.Judge = func(id string, tr *chat.Trace) (any, error) {
+		return judgeSeg(id, tr, nil)
+	}
+	cfg.JudgeResumed = func(id string, tr *chat.Trace, resumed any) (any, error) {
+		st, ok := resumed.(servedState)
+		if !ok {
+			return nil, fmt.Errorf("resumed state is %T, want servedState", resumed)
+		}
+		return judgeSeg(id, tr, &st)
+	}
+	// A segment cancelled mid-run keeps the progress it rehydrated; a
+	// first segment has nothing resumable to keep.
+	cfg.Salvage = func(id string, partial *chat.Trace, resumed any) (any, error) {
+		if st, ok := resumed.(servedState); ok {
+			return st, nil
+		}
+		return nil, nil
+	}
+	return cfg
+}
 
-	s, err := chat.NewScheduler(chat.SchedulerConfig{
+// runServeState is serve with a session-state store behind it.
+func runServeState(det *guard.Detector, p serveStateParams) error {
+	totalSegs := int(math.Ceil(p.sessionSec / p.segmentSec))
+	if totalSegs < 1 {
+		totalSegs = 1
+	}
+	store, err := sessionstore.New[servedState](
+		sessionstore.Config{MaxHot: p.workers * 2}, sessionstore.JSONCodec[servedState]{})
+	if err != nil {
+		return err
+	}
+
+	// Recovery: rehydrate whatever the previous run (or crash) left on
+	// disk. Damaged records surface as typed faults; the survivors land
+	// warm and resume below.
+	statePath := filepath.Join(p.stateDir, "sessions.vcr")
+	recovered, faults, err := store.RecoverFile(statePath)
+	if err != nil {
+		return err
+	}
+	for _, f := range faults {
+		fmt.Fprintf(os.Stderr, "vcguard: state: corrupt record: %v\n", f)
+	}
+	fmt.Printf("state: recovered %d sessions, %d corrupt records, from %s\n", recovered, len(faults), statePath)
+
+	s, err := chat.NewScheduler(segmentJudged(chat.SchedulerConfig{
 		Workers:        p.workers,
 		SessionTimeout: 60 * time.Second,
 		Admission:      &chat.AdmissionConfig{QueueCapacity: p.queue, RatePerSec: p.rate},
 		States:         sessionstore.Bind(store),
-		Judge: func(id string, tr *chat.Trace) (any, error) {
-			return judgeSeg(id, tr, nil)
-		},
-		JudgeResumed: func(id string, tr *chat.Trace, resumed any) (any, error) {
-			st, ok := resumed.(servedState)
-			if !ok {
-				return nil, fmt.Errorf("resumed state is %T, want servedState", resumed)
-			}
-			return judgeSeg(id, tr, &st)
-		},
-		// A segment cancelled mid-run keeps the progress it rehydrated; a
-		// first segment has nothing resumable to keep.
-		Salvage: func(id string, partial *chat.Trace, resumed any) (any, error) {
-			if st, ok := resumed.(servedState); ok {
-				return st, nil
-			}
-			return nil, nil
-		},
-	})
+	}, det, store, totalSegs))
 	if err != nil {
 		return err
 	}

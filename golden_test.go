@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"math"
@@ -140,13 +141,20 @@ func TestGoldenTraces(t *testing.T) {
 
 	// The batch engine must reproduce the sequential goldens bit for bit,
 	// not merely within tolerance.
-	batch, err := guard.DetectTraceBatch(det, probes)
+	bd, err := det.Batch(0)
 	if err != nil {
-		t.Fatalf("batch over fixtures: %v", err)
+		t.Fatal(err)
 	}
-	for i := range verdicts {
-		if batch[i] != verdicts[i] {
-			t.Errorf("probe %d: batch verdict %+v != sequential %+v", i, batch[i], verdicts[i])
+	windows := make([]guard.Session, len(probes))
+	for i, s := range probes {
+		windows[i] = guard.Session{Transmitted: s.T, Received: s.R}
+	}
+	for i, r := range bd.Detect(context.Background(), windows, guard.Guardrails{}) {
+		if r.Err != nil {
+			t.Fatalf("batch over fixtures, probe %d: %v", i, r.Err)
+		}
+		if r.Verdict != verdicts[i] {
+			t.Errorf("probe %d: batch verdict %+v != sequential %+v", i, r.Verdict, verdicts[i])
 		}
 	}
 }

@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-
-	"repro/trace"
 )
 
 // BatchVerdict is the outcome of one window of a batch detection: the
@@ -48,37 +46,16 @@ func (d *Detector) Batch(workers int) (*BatchDetector, error) {
 // Workers returns the pool size used by this batch view.
 func (b *BatchDetector) Workers() int { return b.workers }
 
-// Detect classifies every window concurrently and returns one BatchVerdict
-// per window, in input order. Windows fail independently: a malformed
-// window only sets its own Err.
-func (b *BatchDetector) Detect(windows []Session) []BatchVerdict {
-	return b.run(len(windows), func(i int) (Verdict, error) {
+// Detect classifies every window concurrently and returns one
+// BatchVerdict per window, in input order. Windows fail independently: a
+// malformed window only sets its own Err. ctx cancellation abandons
+// windows not yet started (their Err is ctx.Err()), and the guardrails
+// budget and circuit-break each window's detection stage, so a sick
+// stage cannot stall the batch. With context.Background() and the zero
+// Guardrails every verdict is bit-identical to Detector.Detect.
+func (b *BatchDetector) Detect(ctx context.Context, windows []Session, g Guardrails) []BatchVerdict {
+	return b.run(ctx, g, len(windows), func(i int) (Verdict, error) {
 		return b.det.Detect(windows[i].Transmitted, windows[i].Received)
-	})
-}
-
-// DetectTraces classifies recorded trace sessions concurrently, in input
-// order, applying the same sampling-rate check as Detector.DetectTrace.
-func (b *BatchDetector) DetectTraces(sessions []trace.Session) []BatchVerdict {
-	return b.run(len(sessions), func(i int) (Verdict, error) {
-		return b.det.DetectTrace(sessions[i])
-	})
-}
-
-// DetectContext is Detect under overload protection: ctx cancellation
-// abandons windows not yet started (their Err is ctx.Err()), and the
-// guardrails budget and circuit-break each window's detection stage.
-// Shed windows report quickly — a sick stage cannot stall the batch.
-func (b *BatchDetector) DetectContext(ctx context.Context, windows []Session, g Guardrails) []BatchVerdict {
-	return b.runContext(ctx, g, len(windows), func(i int) (Verdict, error) {
-		return b.det.Detect(windows[i].Transmitted, windows[i].Received)
-	})
-}
-
-// DetectTracesContext is DetectTraces under the same overload protection.
-func (b *BatchDetector) DetectTracesContext(ctx context.Context, sessions []trace.Session, g Guardrails) []BatchVerdict {
-	return b.runContext(ctx, g, len(sessions), func(i int) (Verdict, error) {
-		return b.det.DetectTrace(sessions[i])
 	})
 }
 
@@ -86,12 +63,7 @@ func (b *BatchDetector) DetectTracesContext(ctx context.Context, sessions []trac
 // one window is contained to that window's BatchVerdict.Err — one
 // malformed input must not take down the whole batch (or, worse, the
 // serving process).
-func (b *BatchDetector) run(n int, detect func(i int) (Verdict, error)) []BatchVerdict {
-	return b.runContext(context.Background(), Guardrails{}, n, detect)
-}
-
-// runContext is the shared pool with cancellation and guardrails.
-func (b *BatchDetector) runContext(ctx context.Context, g Guardrails, n int, detect func(i int) (Verdict, error)) []BatchVerdict {
+func (b *BatchDetector) run(ctx context.Context, g Guardrails, n int, detect func(i int) (Verdict, error)) []BatchVerdict {
 	metricBatchWindows.Add(int64(n))
 	out := make([]BatchVerdict, n)
 	workers := b.workers
@@ -128,41 +100,4 @@ feed:
 	close(jobs)
 	wg.Wait()
 	return out
-}
-
-// DetectBatch is the all-or-nothing convenience wrapper: it classifies
-// every window over a pool of the detector's configured size and returns
-// the verdicts in input order, or the error of the lowest-indexed failing
-// window. For per-window error handling use Detector.Batch.
-func DetectBatch(d *Detector, windows []Session) ([]Verdict, error) {
-	b, err := d.Batch(0)
-	if err != nil {
-		return nil, err
-	}
-	results := b.Detect(windows)
-	verdicts := make([]Verdict, len(results))
-	for i, r := range results {
-		if r.Err != nil {
-			return nil, fmt.Errorf("guard: batch window %d: %w", i, r.Err)
-		}
-		verdicts[i] = r.Verdict
-	}
-	return verdicts, nil
-}
-
-// DetectTraceBatch is DetectBatch over recorded trace sessions.
-func DetectTraceBatch(d *Detector, sessions []trace.Session) ([]Verdict, error) {
-	b, err := d.Batch(0)
-	if err != nil {
-		return nil, err
-	}
-	results := b.DetectTraces(sessions)
-	verdicts := make([]Verdict, len(results))
-	for i, r := range results {
-		if r.Err != nil {
-			return nil, fmt.Errorf("guard: batch session %d: %w", i, r.Err)
-		}
-		verdicts[i] = r.Verdict
-	}
-	return verdicts, nil
 }

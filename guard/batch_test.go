@@ -1,29 +1,24 @@
 package guard
 
 import (
+	"context"
 	"strings"
 	"testing"
-
-	"repro/trace"
 )
 
-// batchProbes returns a mixed bag of recorded sessions (genuine and
-// attackers) plus the same windows as raw signal pairs.
-func batchProbes(t *testing.T) ([]trace.Session, []Session) {
+// batchProbes returns a mixed bag of simulated windows (genuine and
+// attackers) as raw signal pairs.
+func batchProbes(t *testing.T) []Session {
 	t.Helper()
-	var traces []trace.Session
+	var windows []Session
 	for i, kind := range []PeerKind{PeerGenuine, PeerReenact, PeerGenuine, PeerReplay, PeerReenact, PeerGenuine} {
 		s, err := Simulate(SimOptions{Seed: int64(500 + i), Peer: kind})
 		if err != nil {
 			t.Fatal(err)
 		}
-		traces = append(traces, s)
+		windows = append(windows, Session{Transmitted: s.T, Received: s.R})
 	}
-	windows := make([]Session, len(traces))
-	for i, s := range traces {
-		windows[i] = Session{Transmitted: s.T, Received: s.R}
-	}
-	return traces, windows
+	return windows
 }
 
 // TestBatchMatchesSequential is the core batch-engine contract: for every
@@ -31,7 +26,7 @@ func batchProbes(t *testing.T) ([]trace.Session, []Session) {
 // Detect loop, in input order.
 func TestBatchMatchesSequential(t *testing.T) {
 	det := trainDetector(t)
-	traces, windows := batchProbes(t)
+	windows := batchProbes(t)
 
 	want := make([]Verdict, len(windows))
 	for i, w := range windows {
@@ -50,7 +45,7 @@ func TestBatchMatchesSequential(t *testing.T) {
 		if bd.Workers() != workers {
 			t.Fatalf("Workers() = %d, want %d", bd.Workers(), workers)
 		}
-		for i, r := range bd.Detect(windows) {
+		for i, r := range bd.Detect(context.Background(), windows, Guardrails{}) {
 			if r.Err != nil {
 				t.Fatalf("workers=%d window %d: %v", workers, i, r.Err)
 			}
@@ -61,51 +56,12 @@ func TestBatchMatchesSequential(t *testing.T) {
 				t.Fatalf("workers=%d window %d: batch %+v != sequential %+v", workers, i, r.Verdict, want[i])
 			}
 		}
-		for i, r := range bd.DetectTraces(traces) {
-			if r.Err != nil {
-				t.Fatalf("workers=%d trace %d: %v", workers, i, r.Err)
-			}
-			if r.Verdict != want[i] {
-				t.Fatalf("workers=%d trace %d: batch %+v != sequential %+v", workers, i, r.Verdict, want[i])
-			}
-		}
-	}
-}
-
-func TestDetectBatchConvenience(t *testing.T) {
-	det := trainDetector(t)
-	traces, windows := batchProbes(t)
-	seq := make([]Verdict, len(windows))
-	for i, w := range windows {
-		v, err := det.Detect(w.Transmitted, w.Received)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seq[i] = v
-	}
-	got, err := DetectBatch(det, windows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range seq {
-		if got[i] != seq[i] {
-			t.Fatalf("window %d: %+v != %+v", i, got[i], seq[i])
-		}
-	}
-	gotTr, err := DetectTraceBatch(det, traces)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range seq {
-		if gotTr[i] != seq[i] {
-			t.Fatalf("trace %d: %+v != %+v", i, gotTr[i], seq[i])
-		}
 	}
 }
 
 func TestBatchPartialFailure(t *testing.T) {
 	det := trainDetector(t)
-	_, windows := batchProbes(t)
+	windows := batchProbes(t)
 	bad := windows[1]
 	bad.Received = bad.Received[:len(bad.Received)-10] // mismatched lengths
 	mixed := []Session{windows[0], bad, windows[2]}
@@ -114,7 +70,7 @@ func TestBatchPartialFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results := bd.Detect(mixed)
+	results := bd.Detect(context.Background(), mixed, Guardrails{})
 	if results[0].Err != nil || results[2].Err != nil {
 		t.Fatalf("healthy windows failed: %v / %v", results[0].Err, results[2].Err)
 	}
@@ -123,11 +79,6 @@ func TestBatchPartialFailure(t *testing.T) {
 	}
 	if !strings.Contains(results[1].Err.Error(), "signal lengths differ") {
 		t.Errorf("unexpected error: %v", results[1].Err)
-	}
-
-	// The all-or-nothing wrapper surfaces the failing index.
-	if _, err := DetectBatch(det, mixed); err == nil || !strings.Contains(err.Error(), "batch window 1") {
-		t.Errorf("DetectBatch error = %v", err)
 	}
 }
 
@@ -143,11 +94,8 @@ func TestBatchEmptyAndValidation(t *testing.T) {
 	if bd.Workers() < 1 {
 		t.Errorf("defaulted workers = %d", bd.Workers())
 	}
-	if got := bd.Detect(nil); len(got) != 0 {
+	if got := bd.Detect(context.Background(), nil, Guardrails{}); len(got) != 0 {
 		t.Errorf("empty batch returned %d results", len(got))
-	}
-	if got, err := DetectBatch(det, nil); err != nil || len(got) != 0 {
-		t.Errorf("empty DetectBatch = %v, %v", got, err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package guard
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -82,7 +83,7 @@ func TestDetectorConcurrentStress(t *testing.T) {
 					}
 				case 3:
 					// Concurrent calls into one shared BatchDetector.
-					for j, r := range shared.Detect(windows) {
+					for j, r := range shared.Detect(context.Background(), windows, Guardrails{}) {
 						if r.Err != nil {
 							t.Errorf("goroutine %d batch window %d: %v", g, j, r.Err)
 							return

@@ -1,6 +1,7 @@
 package guard
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -328,7 +329,7 @@ func TestBatchContainsPanics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results := b.run(8, func(i int) (Verdict, error) {
+	results := b.run(context.Background(), Guardrails{}, 8, func(i int) (Verdict, error) {
 		if i == 3 || i == 6 {
 			panic("injected")
 		}
@@ -360,7 +361,7 @@ func TestTrainContainsPanicMessage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := b.run(1, func(int) (Verdict, error) { panic(42) })
+	res := b.run(context.Background(), Guardrails{}, 1, func(int) (Verdict, error) { panic(42) })
 	if res[0].Err == nil || !strings.Contains(res[0].Err.Error(), "42") {
 		t.Errorf("err = %v, want the panic value in the message", res[0].Err)
 	}

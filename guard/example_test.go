@@ -2,11 +2,11 @@ package guard_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"log"
 
 	"repro/guard"
-	"repro/trace"
 )
 
 // Train a detector on genuine sessions and classify a fake stream.
@@ -74,20 +74,21 @@ func ExampleDetector_Batch() {
 		log.Fatal(err)
 	}
 
-	var windows []trace.Session
+	var windows []guard.Session
 	for i, kind := range []guard.PeerKind{guard.PeerGenuine, guard.PeerReenact, guard.PeerGenuine} {
 		s, err := guard.Simulate(guard.SimOptions{Seed: int64(200 + i), Peer: kind})
 		if err != nil {
 			log.Fatal(err)
 		}
-		windows = append(windows, s)
+		windows = append(windows, guard.Session{Transmitted: s.T, Received: s.R})
 	}
 
 	batch, err := detector.Batch(4) // 0 = runtime.GOMAXPROCS(0) workers
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, r := range batch.DetectTraces(windows) {
+	// The zero Guardrails set no stage budget and no breaker.
+	for _, r := range batch.Detect(context.Background(), windows, guard.Guardrails{}) {
 		if r.Err != nil {
 			log.Fatal(r.Err)
 		}

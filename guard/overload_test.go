@@ -27,7 +27,7 @@ func TestBatchDetectContextCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	out := b.DetectContext(ctx, windows, Guardrails{})
+	out := b.Detect(ctx, windows, Guardrails{})
 	if len(out) != 4 {
 		t.Fatalf("%d verdicts, want 4", len(out))
 	}
@@ -63,7 +63,7 @@ func TestBatchGuardrailsBreakerOpen(t *testing.T) {
 		{Transmitted: s.T, Received: s.R},
 		{Transmitted: s.T, Received: s.R},
 	}
-	out := b.DetectContext(context.Background(), windows, Guardrails{Breaker: br})
+	out := b.Detect(context.Background(), windows, Guardrails{Breaker: br})
 	for i, v := range out {
 		if !errors.Is(v.Err, admission.ErrBreakerOpen) {
 			t.Fatalf("window %d err = %v, want ErrBreakerOpen", i, v.Err)
@@ -91,7 +91,7 @@ func TestBatchGuardrailsBudgetTimeout(t *testing.T) {
 		{Transmitted: s.T, Received: s.R},
 		{Transmitted: s.T, Received: s.R},
 	}
-	out := b.DetectContext(context.Background(), windows, Guardrails{Budget: time.Nanosecond, Breaker: br})
+	out := b.Detect(context.Background(), windows, Guardrails{Budget: time.Nanosecond, Breaker: br})
 	timeouts := 0
 	for _, v := range out {
 		if errors.Is(v.Err, ErrStageTimeout) {
@@ -105,33 +105,5 @@ func TestBatchGuardrailsBudgetTimeout(t *testing.T) {
 	}
 	if br.State() != admission.BreakerOpen {
 		t.Fatalf("breaker state = %v, want open after repeated timeouts", br.State())
-	}
-}
-
-// TestBatchGuardrailsZeroValueMatchesDetect: the zero Guardrails give
-// bit-identical verdicts to the plain Detect path.
-func TestBatchGuardrailsZeroValueMatchesDetect(t *testing.T) {
-	det := trainDetector(t)
-	b, err := det.Batch(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var windows []Session
-	for i := int64(0); i < 3; i++ {
-		s, err := Simulate(SimOptions{Seed: 9700 + i, Peer: PeerGenuine})
-		if err != nil {
-			t.Fatal(err)
-		}
-		windows = append(windows, Session{Transmitted: s.T, Received: s.R})
-	}
-	want := b.Detect(windows)
-	got := b.DetectContext(context.Background(), windows, Guardrails{})
-	for i := range want {
-		if want[i].Err != nil || got[i].Err != nil {
-			t.Fatalf("window %d errs: %v vs %v", i, want[i].Err, got[i].Err)
-		}
-		if want[i].Verdict != got[i].Verdict {
-			t.Fatalf("window %d verdicts differ: %+v vs %+v", i, want[i].Verdict, got[i].Verdict)
-		}
 	}
 }

@@ -37,10 +37,12 @@ func FuzzLoad(f *testing.F) {
 	})
 }
 
-// FuzzScanRecords throws arbitrary bytes at the record scanner: it must
-// never panic, every reported corruption must carry a sane offset, and
-// total progress must be monotonic (each salvaged record's bytes lie
-// inside the input).
+// FuzzScanRecords throws arbitrary bytes at the record reader: it must
+// never panic, total progress must be monotonic (each salvaged record's
+// bytes lie inside the input), and the corruption reports must come in
+// stream order — Index strictly increasing, Offset non-decreasing and
+// inside the input, since every report sits at the first byte of its
+// damaged record or span.
 func FuzzScanRecords(f *testing.F) {
 	f.Add([]byte(""))
 	f.Add([]byte("VCR1"))
@@ -51,7 +53,10 @@ func FuzzScanRecords(f *testing.F) {
 	f.Add(buf.Bytes())
 	f.Add(append(buf.Bytes(), 0xFF))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		records, corrupt := ScanRecords(data)
+		records, corrupt, err := ReadRecords(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("in-memory read failed: %v", err)
+		}
 		var total int
 		for _, rec := range records {
 			total += len(rec) + recordHeaderLen
@@ -59,9 +64,13 @@ func FuzzScanRecords(f *testing.F) {
 		if total > len(data) {
 			t.Fatalf("salvaged %d framed bytes from a %d byte input", total, len(data))
 		}
-		for _, c := range corrupt {
-			if c.Offset < 0 || c.Offset > int64(len(data)) {
+		for i, c := range corrupt {
+			if c.Offset < 0 || c.Offset >= int64(len(data)) {
 				t.Fatalf("corrupt record offset %d outside input of %d bytes", c.Offset, len(data))
+			}
+			if i > 0 && (c.Index <= corrupt[i-1].Index || c.Offset < corrupt[i-1].Offset) {
+				t.Fatalf("report %d (index %d, byte %d) out of order after index %d, byte %d",
+					i, c.Index, c.Offset, corrupt[i-1].Index, corrupt[i-1].Offset)
 			}
 			if c.Error() == "" {
 				t.Fatal("empty corruption message")
@@ -102,7 +111,10 @@ func FuzzScanRecordsRoundTrip(f *testing.F) {
 		if flipMask != 0 && midLen > 0 {
 			data[headLen+int(flipAt)%midLen] ^= flipMask
 		}
-		records, _ := ScanRecords(data)
+		records, _, err := ReadRecords(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
 		var sawHead, sawTail bool
 		for _, rec := range records {
 			if bytes.Equal(rec, []byte("head")) {

@@ -2,7 +2,6 @@ package guard
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -24,9 +23,9 @@ import (
 // flipped bit in a payload fails its CRC but leaves the (valid) header
 // trustworthy, so the reader skips exactly that record and salvages the
 // rest; a flipped bit in a header fails the header CRC and the reader
-// rescans for the next magic word instead of trusting a corrupt length.
-// A torn tail (crash mid-append, short write) reads as a truncated final
-// record and damages nothing before it.
+// slides forward to the next valid header instead of trusting a corrupt
+// length. A torn tail (crash mid-append, short write) reads as a
+// truncated final record and damages nothing before it.
 
 // recordMagic anchors each record header ("VCR1" little-endian).
 const recordMagic uint32 = 0x31524356
@@ -35,9 +34,9 @@ const recordMagic uint32 = 0x31524356
 const recordHeaderLen = 16
 
 // MaxRecordLen bounds a single record payload (16 MiB). WriteRecord
-// refuses larger payloads; ReadRecords treats a larger decoded length as
-// header corruption, so a damaged length field cannot make the reader
-// skip the rest of the file.
+// refuses larger payloads; the reader treats a larger decoded length as
+// header corruption, so a damaged length field cannot make it skip the
+// rest of the stream.
 const MaxRecordLen = 16 << 20
 
 // CorruptRecordError reports one damaged span found while reading a
@@ -48,7 +47,7 @@ type CorruptRecordError struct {
 	// Index is the ordinal of the damaged record in the stream, counting
 	// salvaged and damaged records alike.
 	Index int
-	// Offset is the byte offset where the damage was detected.
+	// Offset is the byte offset where the damaged record or span starts.
 	Offset int64
 	// Reason describes the damage (payload checksum, header, truncation).
 	Reason string
@@ -83,90 +82,33 @@ func WriteRecord(w io.Writer, payload []byte) (int, error) {
 // error return is reserved for I/O failures reading r itself; corrupt
 // framing never aborts the scan.
 func ReadRecords(r io.Reader) ([][]byte, []*CorruptRecordError, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, nil, fmt.Errorf("guard: read records: %w", err)
-	}
-	records, corrupt := ScanRecords(data)
-	return records, corrupt, nil
-}
-
-// magicBytes is the little-endian byte image of recordMagic, used to
-// resync after header corruption.
-var magicBytes = []byte{'V', 'C', 'R', '1'}
-
-// ScanRecords is ReadRecords over an in-memory image. Salvaged payloads
-// are copies; data may be reused afterwards.
-func ScanRecords(data []byte) ([][]byte, []*CorruptRecordError) {
 	var (
 		records [][]byte
 		corrupt []*CorruptRecordError
-		off     int
-		index   int
 	)
-	damage := func(reason string) {
-		corrupt = append(corrupt, &CorruptRecordError{Index: index, Offset: int64(off), Reason: reason})
-		index++
+	sc := NewRecordScanner(r)
+	for {
+		payload, c, err := sc.Next()
+		switch {
+		case err == io.EOF:
+			return records, corrupt, nil
+		case err != nil:
+			return nil, nil, err
+		case c != nil:
+			corrupt = append(corrupt, c)
+		default:
+			records = append(records, payload)
+		}
 	}
-	// resync advances past off to the next magic word, or to EOF.
-	resync := func() {
-		next := bytes.Index(data[off+1:], magicBytes)
-		if next < 0 {
-			off = len(data)
-			return
-		}
-		off += 1 + next
-	}
-	for off < len(data) {
-		if len(data)-off < recordHeaderLen {
-			damage(fmt.Sprintf("truncated header: %d trailing bytes", len(data)-off))
-			break
-		}
-		hdr := data[off : off+recordHeaderLen]
-		if binary.LittleEndian.Uint32(hdr[12:16]) != crc32.ChecksumIEEE(hdr[0:12]) {
-			damage("header checksum mismatch")
-			resync()
-			continue
-		}
-		if binary.LittleEndian.Uint32(hdr[0:4]) != recordMagic {
-			// A valid header CRC over a wrong magic means we resynced onto
-			// bytes that merely look framed; skip forward.
-			damage("bad magic")
-			resync()
-			continue
-		}
-		length := int(binary.LittleEndian.Uint32(hdr[4:8]))
-		if length > MaxRecordLen {
-			damage(fmt.Sprintf("implausible length %d", length))
-			resync()
-			continue
-		}
-		if off+recordHeaderLen+length > len(data) {
-			damage(fmt.Sprintf("truncated payload: need %d bytes, have %d", length, len(data)-off-recordHeaderLen))
-			break
-		}
-		payload := data[off+recordHeaderLen : off+recordHeaderLen+length]
-		if binary.LittleEndian.Uint32(hdr[8:12]) != crc32.ChecksumIEEE(payload) {
-			damage("payload checksum mismatch")
-			// The header was intact, so the length is trustworthy: skip
-			// exactly this record and keep salvaging.
-			off += recordHeaderLen + length
-			continue
-		}
-		records = append(records, append([]byte(nil), payload...))
-		index++
-		off += recordHeaderLen + length
-	}
-	return records, corrupt
 }
 
-// RecordScanner reads the record framing incrementally from a stream —
-// the wire-transfer counterpart of ScanRecords, for readers that cannot
-// buffer the whole image (a migration handoff over a faulty link). It
-// resyncs exactly like ScanRecords: a damaged header slides forward to
-// the next magic word, a damaged payload is skipped by its (trusted)
-// header length, and consecutive garbage bytes coalesce into one
-// corruption report per span.
+// RecordScanner reads the record framing incrementally from a stream, so
+// a reader need not buffer the whole image (a migration handoff over a
+// faulty link); ReadRecords is a loop over it. A damaged header slides
+// forward a byte at a time until a valid header, a damaged payload is
+// skipped by its (trusted) header length, and consecutive garbage bytes
+// coalesce into one corruption report per span, at the byte where the
+// damaged record or span starts.
 type RecordScanner struct {
 	br      *bufio.Reader
 	off     int64
@@ -188,56 +130,57 @@ func (s *RecordScanner) Next() ([]byte, *CorruptRecordError, error) {
 	for {
 		hdr, err := s.br.Peek(recordHeaderLen)
 		if err != nil {
-			if len(hdr) == 0 && (err == io.EOF || err == io.ErrUnexpectedEOF) {
+			if err != io.EOF && err != io.ErrUnexpectedEOF {
+				return nil, nil, fmt.Errorf("guard: scan records: %w", err)
+			}
+			if len(hdr) == 0 {
 				return nil, nil, io.EOF
 			}
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				c := s.damage(fmt.Sprintf("truncated header: %d trailing bytes", len(hdr)))
-				s.skip(len(hdr))
-				return nil, c, nil
-			}
-			return nil, nil, fmt.Errorf("guard: scan records: %w", err)
-		}
-		if binary.LittleEndian.Uint32(hdr[12:16]) != crc32.ChecksumIEEE(hdr[0:12]) {
-			c := s.damageOnce("header checksum mismatch")
-			s.resync()
+			// Trailing bytes too short for a header end the stream; inside
+			// a garbage span they are part of it.
+			c := s.damageOnce(fmt.Sprintf("truncated header: %d trailing bytes", len(hdr)))
+			s.skip(len(hdr))
 			if c != nil {
 				return nil, c, nil
 			}
 			continue
 		}
-		if binary.LittleEndian.Uint32(hdr[0:4]) != recordMagic {
-			c := s.damageOnce("bad magic")
-			s.resync()
-			if c != nil {
-				return nil, c, nil
-			}
-			continue
-		}
+		var bad string
 		length := int(binary.LittleEndian.Uint32(hdr[4:8]))
-		if length > MaxRecordLen {
-			c := s.damageOnce(fmt.Sprintf("implausible length %d", length))
-			s.resync()
+		switch {
+		case binary.LittleEndian.Uint32(hdr[12:16]) != crc32.ChecksumIEEE(hdr[0:12]):
+			bad = "header checksum mismatch"
+		case binary.LittleEndian.Uint32(hdr[0:4]) != recordMagic:
+			// A valid header CRC over a wrong magic: bytes that merely
+			// look framed.
+			bad = "bad magic"
+		case length > MaxRecordLen:
+			bad = fmt.Sprintf("implausible length %d", length)
+		}
+		if bad != "" {
+			c := s.damageOnce(bad)
+			s.skip(1)
 			if c != nil {
 				return nil, c, nil
 			}
 			continue
 		}
+		start := s.off
 		wantCRC := binary.LittleEndian.Uint32(hdr[8:12])
 		s.skip(recordHeaderLen)
 		payload := make([]byte, length)
-		if n, err := io.ReadFull(s.br, payload); err != nil {
-			s.off += int64(n)
+		n, err := io.ReadFull(s.br, payload)
+		s.off += int64(n)
+		if err != nil {
 			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				return nil, s.damage(fmt.Sprintf("truncated payload: need %d bytes, have %d", length, n)), nil
+				return nil, s.damage(start, fmt.Sprintf("truncated payload: need %d bytes, have %d", length, n)), nil
 			}
 			return nil, nil, fmt.Errorf("guard: scan records: %w", err)
 		}
-		s.off += int64(length)
 		if crc32.ChecksumIEEE(payload) != wantCRC {
 			// The header was intact, so the length was trustworthy: the
-			// skip landed exactly past this record.
-			return nil, s.damage("payload checksum mismatch"), nil
+			// read landed exactly past this record.
+			return nil, s.damage(start, "payload checksum mismatch"), nil
 		}
 		s.damaged = false
 		s.index++
@@ -245,32 +188,25 @@ func (s *RecordScanner) Next() ([]byte, *CorruptRecordError, error) {
 	}
 }
 
-// damage reports a corruption span at the current position.
-func (s *RecordScanner) damage(reason string) *CorruptRecordError {
-	c := &CorruptRecordError{Index: s.index, Offset: s.off, Reason: reason}
+// damage reports one damaged record that starts at byte off.
+func (s *RecordScanner) damage(off int64, reason string) *CorruptRecordError {
+	c := &CorruptRecordError{Index: s.index, Offset: off, Reason: reason}
 	s.index++
 	s.damaged = false
 	return c
 }
 
-// damageOnce reports only at the start of a garbage span: while resync
-// slides byte by byte every position fails the header check, and one
-// report per span is what ScanRecords produces too.
+// damageOnce reports a garbage span at its first byte only: while the
+// scanner slides through it every position fails the header check, and
+// the span gets one report.
 func (s *RecordScanner) damageOnce(reason string) *CorruptRecordError {
 	if s.damaged {
 		return nil
 	}
+	c := s.damage(s.off, reason)
 	s.damaged = true
-	c := &CorruptRecordError{Index: s.index, Offset: s.off, Reason: reason}
-	s.index++
 	return c
 }
-
-// resync slides one byte forward; the next Peek re-checks for a valid
-// header there. (ScanRecords can jump straight to the next magic word
-// because it holds the whole image; a stream scanner advances a byte at
-// a time but only reports once per span.)
-func (s *RecordScanner) resync() { s.skip(1) }
 
 // skip discards n buffered bytes.
 func (s *RecordScanner) skip(n int) {

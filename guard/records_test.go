@@ -10,6 +10,9 @@ import (
 	"testing"
 )
 
+// magicBytes is the little-endian byte image of recordMagic.
+var magicBytes = []byte{'V', 'C', 'R', '1'}
+
 // writeAll frames every payload into one buffer.
 func writeAll(t *testing.T, payloads ...[]byte) []byte {
 	t.Helper()
@@ -182,7 +185,7 @@ func TestAtomicWriteFileMissingDir(t *testing.T) {
 
 // TestScanRecordsFalseAnchor embeds magic bytes inside a corrupted
 // record's payload: the resync may test the false anchor, but must still
-// reach the genuine next record.
+// reach the genuine next record, and the whole damaged span reports once.
 func TestScanRecordsFalseAnchor(t *testing.T) {
 	inner := append([]byte("xx"), magicBytes...)
 	inner = append(inner, []byte("yy")...)
@@ -195,6 +198,118 @@ func TestScanRecordsFalseAnchor(t *testing.T) {
 	}
 	if len(got) != 1 || string(got[0]) != "real" {
 		t.Fatalf("want [real], got %q (corrupt: %d)", got, len(corrupt))
+	}
+	if len(corrupt) != 1 || corrupt[0].Offset != 0 {
+		t.Fatalf("want one report at byte 0, got %v", corrupt)
+	}
+}
+
+// recordReport is the position of one corruption report.
+type recordReport struct {
+	Index  int
+	Offset int64
+}
+
+// TestRecordReportsAtDamageStart pins where damage is reported: one
+// report per damaged record or span, at the byte where it starts, the
+// same through the incremental scanner and through ReadRecords. The
+// three framed records "first", "second", "third" start at bytes 0, 21
+// and 43 and end at 64.
+func TestRecordReportsAtDamageStart(t *testing.T) {
+	clean := writeAll(t, []byte("first"), []byte("second"), []byte("third"))
+	damaged := func(edit func([]byte) []byte) []byte {
+		return edit(append([]byte(nil), clean...))
+	}
+	cases := []struct {
+		name    string
+		data    []byte
+		salvage []string
+		reports []recordReport
+	}{
+		{
+			name:    "payload_flip",
+			data:    damaged(func(d []byte) []byte { d[21+16+2] ^= 0x40; return d }),
+			salvage: []string{"first", "third"},
+			reports: []recordReport{{Index: 1, Offset: 21}},
+		},
+		{
+			name:    "header_flip",
+			data:    damaged(func(d []byte) []byte { d[21+4] ^= 0xFF; return d }),
+			salvage: []string{"first", "third"},
+			reports: []recordReport{{Index: 1, Offset: 21}},
+		},
+		{
+			name:    "garbage_tail",
+			data:    damaged(func(d []byte) []byte { return append(d, bytes.Repeat([]byte{0xEE}, 42)...) }),
+			salvage: []string{"first", "second", "third"},
+			reports: []recordReport{{Index: 3, Offset: 64}},
+		},
+		{
+			name:    "torn_payload",
+			data:    damaged(func(d []byte) []byte { return d[:len(d)-2] }),
+			salvage: []string{"first", "second"},
+			reports: []recordReport{{Index: 2, Offset: 43}},
+		},
+		{
+			name:    "torn_header",
+			data:    damaged(func(d []byte) []byte { return d[:43+7] }),
+			salvage: []string{"first", "second"},
+			reports: []recordReport{{Index: 2, Offset: 43}},
+		},
+		{
+			name: "payload_flip_then_garbage",
+			data: damaged(func(d []byte) []byte {
+				d[2*16+5+3] ^= 0x01
+				return append(d, bytes.Repeat([]byte{0x5A}, 20)...)
+			}),
+			salvage: []string{"first", "third"},
+			reports: []recordReport{{Index: 1, Offset: 21}, {Index: 3, Offset: 64}},
+		},
+	}
+	check := func(t *testing.T, via string, records [][]byte, corrupt []*CorruptRecordError, salvage []string, reports []recordReport) {
+		t.Helper()
+		var gotSalvage []string
+		for _, r := range records {
+			gotSalvage = append(gotSalvage, string(r))
+		}
+		var gotReports []recordReport
+		for _, c := range corrupt {
+			gotReports = append(gotReports, recordReport{Index: c.Index, Offset: c.Offset})
+		}
+		if fmt.Sprint(gotSalvage) != fmt.Sprint(salvage) {
+			t.Errorf("%s: salvaged %q, want %q", via, gotSalvage, salvage)
+		}
+		if fmt.Sprint(gotReports) != fmt.Sprint(reports) {
+			t.Errorf("%s: reports %+v, want %+v (%v)", via, gotReports, reports, corrupt)
+		}
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sc := NewRecordScanner(bytes.NewReader(tc.data))
+			var records [][]byte
+			var corrupt []*CorruptRecordError
+			for {
+				payload, c, err := sc.Next()
+				if err == io.EOF {
+					break
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if c != nil {
+					corrupt = append(corrupt, c)
+					continue
+				}
+				records = append(records, payload)
+			}
+			check(t, "RecordScanner", records, corrupt, tc.salvage, tc.reports)
+
+			records, corrupt, err := ReadRecords(bytes.NewReader(tc.data))
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(t, "ReadRecords", records, corrupt, tc.salvage, tc.reports)
+		})
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"repro/internal/features"
 	"repro/internal/obs"
 	"repro/internal/preprocess"
-	"repro/trace"
 )
 
 // StreamQuality bounds how much capture degradation DetectSamples
@@ -708,27 +707,4 @@ func (d *Detector) DetectStreamSamples(samples []StreamSample, cfg StreamConfig)
 	obs.Default.RecordSpan("guard.detect_stream", start,
 		fmt.Sprintf("hops=%d flagged=%v", len(rep.Results), rep.Flagged))
 	return rep, nil
-}
-
-// DetectStream judges a pair of plain luminance signals through the
-// incremental engine. Non-finite samples degrade to held values, as on
-// the live path.
-func (d *Detector) DetectStream(tx, rx []float64, cfg StreamConfig) (StreamReport, error) {
-	if len(tx) != len(rx) {
-		return StreamReport{}, fmt.Errorf("guard: signal lengths differ: %d vs %d", len(tx), len(rx))
-	}
-	samples := make([]StreamSample, len(tx))
-	for i := range tx {
-		samples[i] = StreamSample{Transmitted: tx[i], Received: rx[i]}
-	}
-	return d.DetectStreamSamples(samples, cfg)
-}
-
-// DetectTraceStream judges a recorded session through the incremental
-// engine.
-func (d *Detector) DetectTraceStream(s trace.Session, cfg StreamConfig) (StreamReport, error) {
-	if s.Fs != d.cfg.Preprocess.Fs {
-		return StreamReport{}, fmt.Errorf("guard: trace sampled at %v Hz, detector expects %v", s.Fs, d.cfg.Preprocess.Fs)
-	}
-	return d.DetectStream(s.T, s.R, cfg)
 }

@@ -152,18 +152,18 @@ func TestOverloadSoak(t *testing.T) {
 	}
 	window := []guard.Session{{Transmitted: sim.T, Received: sim.R}}
 	starved := guard.Guardrails{Budget: time.Nanosecond, Breaker: br}
-	if res := batch.DetectContext(context.Background(), window, starved); !errors.Is(res[0].Err, guard.ErrStageTimeout) {
+	if res := batch.Detect(context.Background(), window, starved); !errors.Is(res[0].Err, guard.ErrStageTimeout) {
 		t.Fatalf("starved stage err = %v, want ErrStageTimeout", res[0].Err)
 	}
 	if br.State() != admission.BreakerOpen {
 		t.Fatalf("breaker = %v, want open", br.State())
 	}
 	healthy := guard.Guardrails{Budget: time.Minute, Breaker: br} // the stage "recovers"
-	if res := batch.DetectContext(context.Background(), window, healthy); !errors.Is(res[0].Err, admission.ErrBreakerOpen) {
+	if res := batch.Detect(context.Background(), window, healthy); !errors.Is(res[0].Err, admission.ErrBreakerOpen) {
 		t.Fatalf("err inside the cooldown = %v, want ErrBreakerOpen", res[0].Err)
 	}
 	now = now.Add(10 * time.Millisecond) // cooldown passes
-	if res := batch.DetectContext(context.Background(), window, healthy); res[0].Err != nil {
+	if res := batch.Detect(context.Background(), window, healthy); res[0].Err != nil {
 		t.Fatalf("probe window err = %v, want a verdict", res[0].Err)
 	}
 	if br.State() != admission.BreakerClosed {

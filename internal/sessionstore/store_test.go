@@ -222,9 +222,9 @@ func TestStoreRecoverSalvagesAroundCorruption(t *testing.T) {
 	data := buf.Bytes()
 	// Flip one bit inside the second record's payload: that session must
 	// come back as a typed fault, the other three must all survive.
-	recs, _ := guard.ScanRecords(data)
-	if len(recs) != 4 {
-		t.Fatalf("setup: %d records", len(recs))
+	recs, _, err := guard.ReadRecords(bytes.NewReader(data))
+	if err != nil || len(recs) != 4 {
+		t.Fatalf("setup: %d records, err %v", len(recs), err)
 	}
 	off := 16 + len(recs[0]) + 16 + len(recs[1])/2
 	data[off] ^= 0x10

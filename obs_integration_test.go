@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"context"
 	"math"
 	"testing"
 	"time"
@@ -70,7 +71,10 @@ func TestObservabilityBatchDetect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	windows := append(genuine, fake...)
+	var windows []guard.Session
+	for _, s := range append(genuine, fake...) {
+		windows = append(windows, guard.Session{Transmitted: s.T, Received: s.R})
+	}
 	n := int64(len(windows))
 
 	batch, err := det.Batch(4)
@@ -80,7 +84,7 @@ func TestObservabilityBatchDetect(t *testing.T) {
 	var results []guard.BatchVerdict
 	start := time.Now()
 	delta := measure(func() {
-		results = batch.DetectTraces(windows)
+		results = batch.Detect(context.Background(), windows, guard.Guardrails{})
 	})
 	elapsed := time.Since(start)
 	for _, r := range results {
