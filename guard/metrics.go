@@ -55,9 +55,27 @@ var (
 
 // reasonLabel turns a ReasonCode's stable string into a label value
 // ("gap ratio" -> "gap_ratio") so alerting rules never quote spaces.
+// Every inconclusive hop asks for one, so the defined codes' labels are
+// built once, in reasonLabels.
 func reasonLabel(c ReasonCode) string {
+	if c >= 0 && int(c) < len(reasonLabels) {
+		return reasonLabels[c]
+	}
+	return labelOf(c)
+}
+
+// labelOf builds c's label from its string.
+func labelOf(c ReasonCode) string {
 	return strings.ReplaceAll(c.String(), " ", "_")
 }
+
+// reasonLabels holds the labels of ReasonNone through ReasonStale.
+var reasonLabels = func() (l [ReasonStale + 1]string) {
+	for c := range l {
+		l[c] = labelOf(ReasonCode(c))
+	}
+	return l
+}()
 
 // recordWindow feeds one quality-gated window result (StreamDetector or
 // DetectSamples) into the abstention counters and the quality histogram.

@@ -92,6 +92,30 @@ func TestNormalizeUnitIntoConstantZeroes(t *testing.T) {
 	}
 }
 
+// TestShiftIntoMatchesReference compares the block-copy shift with the
+// per-sample reference at every shift that pads, copies or does both,
+// and at shifts far past the signal.
+func TestShiftIntoMatchesReference(t *testing.T) {
+	for n := 1; n <= 12; n++ {
+		x := make([]float64, n)
+		for i := range x {
+			x[i] = float64(i*i) - 0.5
+		}
+		x[n/2] = math.NaN()
+		for _, s := range append([]int{-1 << 40, 1 << 40}, rangeInts(-n-3, n+3)...) {
+			sameFloats(t, "shift", ShiftInto(dirtyFloats(n), x, s), refShiftInto(nil, x, s))
+		}
+	}
+}
+
+func rangeInts(lo, hi int) []int {
+	var out []int
+	for i := lo; i <= hi; i++ {
+		out = append(out, i)
+	}
+	return out
+}
+
 func TestShiftIntoDirtyDestination(t *testing.T) {
 	for name, x := range bufferSignals() {
 		for _, delay := range []int{-200, -9, -1, 0, 1, 9, 200} {

@@ -59,32 +59,48 @@ func (r *DTWRows) Windowed(x, y []float64, radius int) (float64, error) {
 	if cap(r.a) < m+1 || cap(r.b) < m+1 {
 		r.a, r.b = make([]float64, m+1), make([]float64, m+1)
 	}
+	inf := math.Inf(1)
 	prev, curr := r.a[:m+1], r.b[:m+1]
-	for j := 0; j <= m; j++ {
-		prev[j] = math.Inf(1)
+	// Row 0 is read only by row 1, over the columns of its band.
+	row0 := prev[:min(m, 1+radius)+1]
+	for j := range row0 {
+		row0[j] = inf
 	}
-	prev[0] = 0
-	for i := 1; i <= n; i++ {
-		lo := maxInt(1, i-radius)
-		hi := minInt(m, i+radius)
-		// Only the band and its fringe are ever read: row i+1 touches
+	row0[0] = 0
+	for i, xi := range x {
+		lo := max(1, i+1-radius)
+		hi := min(m, i+1+radius)
+		// Only the band and its fringe are ever read: the next row touches
 		// columns [lo'-1, hi'+1] with lo', hi' shifted at most one from
 		// lo, hi, so resetting the two fringe cells replaces clearing the
 		// whole row — same values read, O(band) instead of O(m).
-		curr[lo-1] = math.Inf(1)
+		curr[lo-1] = inf
 		if hi < m {
-			curr[hi+1] = math.Inf(1)
+			curr[hi+1] = inf
 		}
-		for j := lo; j <= hi; j++ {
-			cost := math.Abs(x[i-1] - y[j-1])
-			best := prev[j] // insertion
-			if prev[j-1] < best {
-				best = prev[j-1] // match
+		// The cell loop over columns lo..hi. The rows and y are resliced
+		// to the band, so it carries no bounds checks, and the match
+		// (diagonal) and deletion (left) neighbours ride in registers:
+		// each cell loads only its insertion neighbour and stores once.
+		// A cell starts from its insertion neighbour and takes the match,
+		// then the deletion, only when strictly smaller. That order
+		// decides the NaN cases; FuzzDTWMatchesReference pins it to the
+		// row-by-row program that reads every neighbour from memory.
+		ys := y[lo-1 : hi]
+		up := prev[lo : lo+len(ys)]
+		out := curr[lo : lo+len(ys)]
+		diag, left := prev[lo-1], inf
+		for k, yj := range ys {
+			u := up[k]
+			best := u // insertion
+			if diag < best {
+				best = diag // match
 			}
-			if curr[j-1] < best {
-				best = curr[j-1] // deletion
+			if left < best {
+				best = left // deletion
 			}
-			curr[j] = cost + best
+			left = math.Abs(xi-yj) + best
+			out[k], diag = left, u
 		}
 		prev, curr = curr, prev
 	}
@@ -92,18 +108,4 @@ func (r *DTWRows) Windowed(x, y []float64, radius int) (float64, error) {
 		return 0, fmt.Errorf("dsp: DTW band radius %d too narrow for lengths %d, %d", radius, n, m)
 	}
 	return prev[m], nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -22,14 +22,12 @@ const Eps = 1e-12
 // float ==/!= in the DSP packages must route through ApproxEqual or
 // ApproxZero so tolerance policy lives in one place.
 func ApproxEqual(a, b float64) bool {
-	if a == b {
-		return true
-	}
-	scale := math.Max(math.Abs(a), math.Abs(b))
-	if scale < 1 {
-		scale = 1
-	}
-	return math.Abs(a-b) <= Eps*scale
+	// The builtin max keeps this small enough to inline into the peak
+	// finder's plateau walk, which calls it on every rising sample.
+	// Its NaN and signed-zero rules cannot change the answer: the
+	// magnitudes carry no sign, and a NaN operand makes a-b NaN, which
+	// fails the comparison whatever the scale.
+	return a == b || math.Abs(a-b) <= Eps*max(math.Abs(a), math.Abs(b), 1)
 }
 
 // ApproxZero reports whether v is within Eps of zero. Used for

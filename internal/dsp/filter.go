@@ -178,10 +178,3 @@ func ThresholdFloor(x []float64, cutoff float64) []float64 {
 	}
 	return out
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

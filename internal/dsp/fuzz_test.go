@@ -260,3 +260,138 @@ func FuzzLowPass(f *testing.F) {
 		checkFinite(t, "LowPassFIR.Apply", out)
 	})
 }
+
+// rawSignal decodes data into at most maxLen float64s bit for bit, with
+// no filtering: NaN payloads of either sign, ±Inf, −0 and subnormals all
+// reach the kernel under test.
+func rawSignal(data []byte, maxLen int) []float64 {
+	n := min(len(data)/8, maxLen)
+	sig := make([]float64, n)
+	for i := range sig {
+		sig[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[i*8:]))
+	}
+	return sig
+}
+
+// rawBytes packs values as rawSignal reads them.
+func rawBytes(vs ...float64) []byte {
+	buf := make([]byte, 8*len(vs))
+	for i, v := range vs {
+		binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(v))
+	}
+	return buf
+}
+
+// hostileSeeds are seed signals built from the values a kernel rewrite
+// is most likely to mishandle.
+func hostileSeeds() [][]byte {
+	negNaN := math.Float64frombits(0xfff8000000000001)
+	nan := math.Float64frombits(0x7ff8000000000000)
+	inf, negZero := math.Inf(1), math.Copysign(0, -1)
+	sub, maxSub := math.SmallestNonzeroFloat64, math.Float64frombits(0x000fffffffffffff)
+	return [][]byte{
+		rawBytes(0, 1, nan, 2, 1),
+		rawBytes(3, negNaN, 3, 0.5, 3),
+		rawBytes(inf, 0, 1, 0, -inf),
+		rawBytes(1e308, -1e308, 1e308, 0, -1e308),
+		rawBytes(negZero, 0, sub, maxSub, negZero, -sub),
+		rawBytes(0, inf, inf, 0, 1, 1, 0),
+		rawBytes(nan, nan, nan),
+		rawBytes(1, 2, 2+1e-13, 2, 1, 5, 5, 0),
+	}
+}
+
+// FuzzDTWMatchesReference requires the banded DTW kernel, over one
+// reused DTWRows, to return the frozen row-by-row program's distance bit
+// for bit and its error text, on raw bit patterns, lengths up to 200 and
+// radii from -1 to past n+m as well as the fuzzed radius itself. A NaN
+// distance must be NaN on both sides, whatever its payload: Go leaves
+// unspecified which operand's payload a float add of two NaNs returns,
+// and the compiler may emit a commutative add's operands in either
+// order, so two compilations of one kernel can already differ there.
+func FuzzDTWMatchesReference(f *testing.F) {
+	seeds := hostileSeeds()
+	for i, s := range seeds {
+		f.Add(s, seeds[(i+1)%len(seeds)], i-1)
+	}
+	f.Add(seedSignal(75), seedSignal(75), 8)
+	f.Add(seedSignal(40), seedSignal(75), 0)
+	f.Add(seedSignal(3), seedSignal(128), math.MaxInt)
+	f.Add(seedSignal(9), seedSignal(2), math.MinInt)
+	f.Add([]byte{}, seedSignal(4), 2)
+
+	var rows DTWRows
+	f.Fuzz(func(t *testing.T, dataX, dataY []byte, radius int) {
+		x, y := rawSignal(dataX, 200), rawSignal(dataY, 200)
+		span := len(x) + len(y) + 3
+		for _, r := range []int{radius, (radius%span+span)%span - 1} {
+			// Leave the rows dirty from a different problem first.
+			_, _ = rows.Windowed(y, x, r/2)
+			got, gotErr := rows.Windowed(x, y, r)
+			want, wantErr := refDTWWindowed(x, y, r)
+			if errText(gotErr) != errText(wantErr) {
+				t.Fatalf("radius %d: error %q, reference %q", r, errText(gotErr), errText(wantErr))
+			}
+			if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+				t.Fatalf("radius %d: distance %v (%#x), reference %v (%#x)",
+					r, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
+	})
+}
+
+// FuzzPeaksMatchesReference requires AppendPeaks to return the frozen
+// peak finder's peaks — index, height and prominence bits — after an
+// untouched prefix, on raw bit patterns and any prominence floor.
+func FuzzPeaksMatchesReference(f *testing.F) {
+	for i, s := range hostileSeeds() {
+		f.Add(s, []float64{0, 0.5, math.Inf(1), math.Inf(-1), math.NaN(), math.Copysign(0, -1), 1e-320, 10}[i])
+	}
+	f.Add(seedSignal(150), 10.0)
+	f.Add(seedSignal(150), 0.5)
+	f.Add(seedSignal(3), 0.0)
+
+	f.Fuzz(func(t *testing.T, data []byte, minProminence float64) {
+		x := rawSignal(data, 200)
+		prefix := []Peak{{Index: -1, Height: math.NaN(), Prominence: -1}}
+		got := AppendPeaks(prefix, x, minProminence)
+		want := refAppendPeaks(nil, x, minProminence)
+		if len(got) != 1+len(want) || got[0].Index != -1 {
+			t.Fatalf("got %d peaks after the prefix (prefix kept: %v), reference %d", len(got)-1, got[0].Index == -1, len(want))
+		}
+		for i, w := range want {
+			g := got[1+i]
+			if g.Index != w.Index || math.Float64bits(g.Height) != math.Float64bits(w.Height) ||
+				math.Float64bits(g.Prominence) != math.Float64bits(w.Prominence) {
+				t.Fatalf("peak %d: %+v, reference %+v", i, g, w)
+			}
+		}
+	})
+}
+
+// FuzzApproxEqualMatchesReference requires ApproxEqual to agree with the
+// math.Max form on every pair of raw bit patterns.
+func FuzzApproxEqualMatchesReference(f *testing.F) {
+	inf, nan := math.Inf(1), math.NaN()
+	for _, p := range [][2]float64{
+		{0, math.Copysign(0, -1)}, {nan, nan}, {nan, 1}, {1, nan}, {inf, nan}, {nan, -inf},
+		{inf, inf}, {inf, -inf}, {inf, 1e308}, {-inf, 0}, {1, 1 + 1e-13}, {1e-320, -1e-320},
+		{1e308, -1e308}, {0.5, 0.5 + 1e-12}, {1e12, 1e12 + 1},
+	} {
+		f.Add(math.Float64bits(p[0]), math.Float64bits(p[1]))
+	}
+	f.Fuzz(func(t *testing.T, a, b uint64) {
+		x, y := math.Float64frombits(a), math.Float64frombits(b)
+		if got, want := ApproxEqual(x, y), refApproxEqual(x, y); got != want {
+			t.Fatalf("ApproxEqual(%v, %v) = %v, reference %v", x, y, got, want)
+		}
+	})
+}
+
+// errText is err's message, or "" for nil.
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
+}

@@ -118,9 +118,22 @@ func Shift(x []float64, samples int) []float64 {
 // ShiftInto is Shift writing into dst, which is resized to len(x)
 // (reallocated only when too small) and returned. dst must not alias x.
 func ShiftInto(dst, x []float64, samples int) []float64 {
-	out := resize(dst, len(x))
-	for i := range out {
-		out[i] = edgeAt(x, i-samples)
+	n := len(x)
+	out := resize(dst, n)
+	// out[i] = x[i-samples] for i in [head, tail); the replicate padding
+	// takes x[0] before head and x[n-1] from tail on.
+	head, tail := min(max(samples, 0), n), n
+	if samples < 0 {
+		tail = max(n+samples, 0)
+	}
+	if head < tail {
+		copy(out[head:tail], x[head-samples:tail-samples])
+	}
+	for i := range out[:head] {
+		out[i] = x[0]
+	}
+	for i := tail; i < n; i++ {
+		out[i] = x[n-1]
 	}
 	return out
 }

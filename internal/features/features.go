@@ -197,6 +197,7 @@ type Extractor struct {
 	matchedTx, matchedRx        []bool
 	aligned, normTx, normRx     []float64
 	dtw                         dsp.DTWRows
+	dtwRuns                     int // DTW programs the last z4 ran: 1 when the diagonal bound decided it
 }
 
 // Extract is ExtractWithDetail over e's buffers.
@@ -284,15 +285,12 @@ func (e *Extractor) Extract(tx, rx *preprocess.Result, cfg Config) (Vector, Deta
 	}
 	v.Z3 = math.Min(c1, c2)
 
-	d1, err := e.dtw.Windowed(t1, r1, cfg.DTWBandRadius)
+	d, runs, err := e.maxHalfDTW(t1, r1, t2, r2, cfg.DTWBandRadius)
+	e.dtwRuns = runs
 	if err != nil {
-		return Vector{}, Detail{}, fmt.Errorf("features: first-half DTW: %w", err)
+		return Vector{}, Detail{}, err
 	}
-	d2, err := e.dtw.Windowed(t2, r2, cfg.DTWBandRadius)
-	if err != nil {
-		return Vector{}, Detail{}, fmt.Errorf("features: second-half DTW: %w", err)
-	}
-	v.Z4 = math.Max(d1, d2) / cfg.DTWDivisor
+	v.Z4 = d / cfg.DTWDivisor
 
 	detail := Detail{
 		TxChanges:    nTx,
@@ -301,6 +299,71 @@ func (e *Extractor) Extract(tx, rx *preprocess.Result, cfg Config) (Vector, Deta
 		DelaySamples: delay,
 	}
 	return v, detail, nil
+}
+
+// maxHalfDTW returns math.Max(DTW(t1, r1), DTW(t2, r2)) under the band
+// radius, bit for bit and with the same error, running the second
+// dynamic program only when the first already decides the max. It also
+// returns how many programs ran.
+//
+// Each half pairs two equal-length sequences, so the diagonal warping
+// path lies inside every band, and diagonalCost sums that path's cell
+// costs in the program's own order (cost + path so far). On finite
+// samples no cell is NaN, and each diagonal cell is its cost plus the
+// cheapest of three neighbours, its diagonal predecessor among them; as
+// rounding is monotone, the distance is at most the sum. A finite sum
+// implies finite samples. So a half whose sum is at most the other
+// half's distance d cannot change the max: its sum bounds it, or d is
+// +Inf, which math.Max returns whatever the other operand, NaN
+// included. A NaN sum or distance never compares <=.
+//
+// The half with the larger sum runs first, as the likelier to decide.
+// Only a strictly larger second sum reorders them, so the first half's
+// sum is then finite and its program cannot fail: the error reported is
+// the one the halves give when run in order.
+func (e *Extractor) maxHalfDTW(t1, r1, t2, r2 []float64, radius int) (float64, int, error) {
+	u1, u2 := diagonalCost(t1, r1), diagonalCost(t2, r2)
+	if u2 > u1 {
+		d2, err := e.dtw.Windowed(t2, r2, radius)
+		if err != nil {
+			return 0, 1, fmt.Errorf("features: second-half DTW: %w", err)
+		}
+		if u1 <= d2 {
+			return d2, 1, nil
+		}
+		d1, err := e.dtw.Windowed(t1, r1, radius)
+		if err != nil {
+			return 0, 2, fmt.Errorf("features: first-half DTW: %w", err)
+		}
+		return math.Max(d1, d2), 2, nil
+	}
+	d1, err := e.dtw.Windowed(t1, r1, radius)
+	if err != nil {
+		return 0, 1, fmt.Errorf("features: first-half DTW: %w", err)
+	}
+	if u2 <= d1 {
+		return d1, 1, nil
+	}
+	d2, err := e.dtw.Windowed(t2, r2, radius)
+	if err != nil {
+		return 0, 2, fmt.Errorf("features: second-half DTW: %w", err)
+	}
+	return math.Max(d1, d2), 2, nil
+}
+
+// diagonalCost sums |x[i]-y[i]| along the diagonal warping path of two
+// equal-length sequences, accumulating as the DTW program does (cost +
+// path so far). It is NaN, which bounds nothing, when the lengths differ
+// or are zero.
+func diagonalCost(x, y []float64) float64 {
+	if len(x) != len(y) || len(x) == 0 {
+		return math.NaN()
+	}
+	var s float64
+	for i, xi := range x {
+		s = math.Abs(xi-y[i]) + s
+	}
+	return s
 }
 
 // countEligible counts the changes that enter a behaviour denominator:
