@@ -1,7 +1,6 @@
 package repro_test
 
 import (
-	"context"
 	"math/rand"
 	"testing"
 
@@ -267,68 +266,6 @@ func BenchmarkSimulateSession(b *testing.B) {
 		}
 	}
 }
-
-// Batch-engine benchmarks: the sequential Detect loop versus BatchDetector
-// over the same multi-window input at several pool sizes. Each reports
-// windows/sec; divide a batch rate by the sequential rate for the
-// speedup. On a single-core runner (GOMAXPROCS=1) the batch path can only
-// match the sequential one; the speedup scales with cores on real
-// hardware since every window is an independent CPU-bound pipeline run.
-
-// benchWindowSet returns 32 genuine 15 s windows as raw signal pairs.
-func benchWindowSet(b *testing.B) []guard.Session {
-	b.Helper()
-	sessions, err := guard.SimulateMany(guard.SimOptions{Seed: 30, Peer: guard.PeerGenuine}, 32)
-	if err != nil {
-		b.Fatal(err)
-	}
-	windows := make([]guard.Session, len(sessions))
-	for i, s := range sessions {
-		windows[i] = guard.Session{Transmitted: s.T, Received: s.R}
-	}
-	return windows
-}
-
-func reportWindowRate(b *testing.B, windows int) {
-	b.ReportMetric(float64(windows)*float64(b.N)/b.Elapsed().Seconds(), "windows/sec")
-}
-
-func BenchmarkDetectSequentialBatch(b *testing.B) {
-	det := benchDetector(b)
-	windows := benchWindowSet(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, w := range windows {
-			if _, err := det.Detect(w.Transmitted, w.Received); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	reportWindowRate(b, len(windows))
-}
-
-func benchmarkDetectBatch(b *testing.B, workers int) {
-	det := benchDetector(b)
-	windows := benchWindowSet(b)
-	bd, err := det.Batch(workers)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, r := range bd.Detect(context.Background(), windows, guard.Guardrails{}) {
-			if r.Err != nil {
-				b.Fatal(r.Err)
-			}
-		}
-	}
-	reportWindowRate(b, len(windows))
-}
-
-func BenchmarkDetectBatchWorkers1(b *testing.B) { benchmarkDetectBatch(b, 1) }
-func BenchmarkDetectBatchWorkers2(b *testing.B) { benchmarkDetectBatch(b, 2) }
-func BenchmarkDetectBatchWorkers4(b *testing.B) { benchmarkDetectBatch(b, 4) }
-func BenchmarkDetectBatchWorkers8(b *testing.B) { benchmarkDetectBatch(b, 8) }
 
 // Streaming-engine benchmarks: the incremental StreamDetector against
 // the legacy per-window rejudge and the batch reference, all judging the

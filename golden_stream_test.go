@@ -16,7 +16,8 @@ import (
 // faults) goes through the trained detector's StreamDetector, and every
 // per-hop verdict must reproduce the committed trace byte for byte. This
 // is the regression net under the sliding-window operators, the banded
-// DTW and the LOF index — any arithmetic drift in any of them lands here.
+// DTW and the LOF k-NN scan — any arithmetic drift in any of them lands
+// here.
 //
 // Regenerate together with the other goldens:
 //

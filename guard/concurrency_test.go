@@ -1,18 +1,18 @@
 package guard
 
 import (
-	"context"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/trace"
 )
 
-// TestDetectorConcurrentStress hammers one trained Detector and one
-// shared BatchDetector from 32 goroutines mixing Detect, DetectTrace,
-// CombineVerdicts and batch calls. Run under -race (CI does) this proves
-// the public API carries no hidden shared state; the verdict comparisons
-// prove interleaving never changes a result.
+// TestDetectorConcurrentStress hammers one trained Detector from 32
+// goroutines mixing Detect, DetectTrace and CombineVerdicts. Run under
+// -race (CI does) this proves the public API carries no hidden shared
+// state; the verdict comparisons prove interleaving never changes a
+// result.
 func TestDetectorConcurrentStress(t *testing.T) {
 	det := trainDetector(t)
 
@@ -36,10 +36,6 @@ func TestDetectorConcurrentStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shared, err := det.Batch(4)
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	const goroutines = 32
 	const iters = 6
@@ -50,7 +46,7 @@ func TestDetectorConcurrentStress(t *testing.T) {
 			defer wg.Done()
 			for it := 0; it < iters; it++ {
 				i := (g + it) % len(windows)
-				switch (g + it) % 4 {
+				switch (g + it) % 3 {
 				case 0:
 					got, err := det.Detect(windows[i].Transmitted, windows[i].Received)
 					if err != nil {
@@ -80,18 +76,6 @@ func TestDetectorConcurrentStress(t *testing.T) {
 					if flagged != wantFlagged {
 						t.Errorf("goroutine %d: CombineVerdicts = %v, want %v", g, flagged, wantFlagged)
 						return
-					}
-				case 3:
-					// Concurrent calls into one shared BatchDetector.
-					for j, r := range shared.Detect(context.Background(), windows, Guardrails{}) {
-						if r.Err != nil {
-							t.Errorf("goroutine %d batch window %d: %v", g, j, r.Err)
-							return
-						}
-						if r.Verdict != want[j] {
-							t.Errorf("goroutine %d: batch(%d) = %+v, want %+v", g, j, r.Verdict, want[j])
-							return
-						}
 					}
 				}
 			}
@@ -149,4 +133,62 @@ func TestTrainConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestTrainParallelMatchesSequential proves the worker-pool training path
+// produces the same model as the sequential one: identical verdicts and
+// scores on identical probes, and identical error messages on failure.
+func TestTrainParallelMatchesSequential(t *testing.T) {
+	sessions, err := SimulateMany(SimOptions{Seed: 100, Peer: PeerGenuine}, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var train []Session
+	for _, s := range sessions {
+		train = append(train, Session{Transmitted: s.T, Received: s.R})
+	}
+	seqOpt := DefaultOptions()
+	seqOpt.Workers = 1
+	parOpt := DefaultOptions()
+	parOpt.Workers = 8
+	seqDet, err := Train(seqOpt, train)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parDet, err := Train(parOpt, train)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe, err := Simulate(SimOptions{Seed: 900, Peer: PeerReenact})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vs, err := seqDet.DetectTrace(probe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vp, err := parDet.DetectTrace(probe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if vs != vp {
+		t.Errorf("parallel-trained verdict %+v != sequential %+v", vp, vs)
+	}
+
+	// Broken sessions: the parallel path must report the lowest-indexed
+	// failure with the sequential path's exact message.
+	broken := append([]Session(nil), train...)
+	broken[3].Received = broken[3].Received[:5]
+	broken[7].Received = nil
+	_, seqErr := Train(seqOpt, broken)
+	_, parErr := Train(parOpt, broken)
+	if seqErr == nil || parErr == nil {
+		t.Fatal("broken training set accepted")
+	}
+	if seqErr.Error() != parErr.Error() {
+		t.Errorf("error messages diverge:\n  seq: %v\n  par: %v", seqErr, parErr)
+	}
+	if !strings.Contains(parErr.Error(), "training session 3") {
+		t.Errorf("expected lowest-indexed failure, got: %v", parErr)
+	}
 }

@@ -1,11 +1,12 @@
 package guard
 
 import (
-	"context"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/features"
 	"repro/internal/preprocess"
 )
 
@@ -321,48 +322,28 @@ func TestDetectSamplesStructuralError(t *testing.T) {
 	}
 }
 
-// --- batch panic containment ---
+// --- training panic containment ---
 
-func TestBatchContainsPanics(t *testing.T) {
-	det := trainDetector(t)
-	b, err := det.Batch(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	results := b.run(context.Background(), Guardrails{}, 8, func(i int) (Verdict, error) {
-		if i == 3 || i == 6 {
-			panic("injected")
-		}
-		return Verdict{Score: float64(i)}, nil
-	})
-	for i, r := range results {
-		if i == 3 || i == 6 {
-			if r.Err == nil || !strings.Contains(r.Err.Error(), "panicked") {
-				t.Errorf("window %d: err = %v, want contained panic", i, r.Err)
-			}
-			continue
-		}
-		if r.Err != nil {
-			t.Errorf("window %d failed: %v", i, r.Err)
-		}
-		if r.Verdict.Score != float64(i) {
-			t.Errorf("window %d score = %v", i, r.Verdict.Score)
-		}
-	}
-}
-
+// TestTrainContainsPanicMessage drives Train's extraction pool with an
+// injected extraction: a panic in one session must surface as that
+// session's error, the lowest panicking index must win, and each
+// contained panic must count once.
 func TestTrainContainsPanicMessage(t *testing.T) {
-	// A panic inside per-session extraction must surface as that
-	// session's error, not crash the training pool. Train's signal
-	// validation makes a natural panic hard to provoke, so this pins the
-	// containment path at the batch level instead and the message shape.
-	det := trainDetector(t)
-	b, err := det.Batch(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := b.run(context.Background(), Guardrails{}, 1, func(int) (Verdict, error) { panic(42) })
-	if res[0].Err == nil || !strings.Contains(res[0].Err.Error(), "42") {
-		t.Errorf("err = %v, want the panic value in the message", res[0].Err)
+	const want = "guard: training session 2: feature extraction panicked: 42"
+	for _, panicking := range [][]int{{2}, {2, 5}} {
+		trainPanics := metricPanics.With("train")
+		before := trainPanics.Value()
+		_, _, err := extractTrainingVectors(8, 4, func(i int) (features.Vector, features.Detail, error) {
+			if slices.Contains(panicking, i) {
+				panic(40 + i)
+			}
+			return features.Vector{}, features.Detail{Matched: 1}, nil
+		})
+		if err == nil || err.Error() != want {
+			t.Errorf("sessions %v panic: err = %v, want %q", panicking, err, want)
+		}
+		if got := trainPanics.Value() - before; got != int64(len(panicking)) {
+			t.Errorf("sessions %v panic: %d train panics recovered, want %d", panicking, got, len(panicking))
+		}
 	}
 }

@@ -2,7 +2,6 @@ package guard_test
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"log"
 
@@ -60,44 +59,6 @@ func ExampleDetector_CombineVerdicts() {
 	}
 	fmt.Println("flagged:", flagged)
 	// Output: flagged: true
-}
-
-// Classify a backlog of recorded windows in parallel. Batch verdicts
-// are bit-identical to a sequential Detect loop, in input order.
-func ExampleDetector_Batch() {
-	training, err := guard.SimulateMany(guard.SimOptions{Seed: 1, Peer: guard.PeerGenuine}, 20)
-	if err != nil {
-		log.Fatal(err)
-	}
-	detector, err := guard.TrainFromTraces(guard.DefaultOptions(), training)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	var windows []guard.Session
-	for i, kind := range []guard.PeerKind{guard.PeerGenuine, guard.PeerReenact, guard.PeerGenuine} {
-		s, err := guard.Simulate(guard.SimOptions{Seed: int64(200 + i), Peer: kind})
-		if err != nil {
-			log.Fatal(err)
-		}
-		windows = append(windows, guard.Session{Transmitted: s.T, Received: s.R})
-	}
-
-	batch, err := detector.Batch(4) // 0 = runtime.GOMAXPROCS(0) workers
-	if err != nil {
-		log.Fatal(err)
-	}
-	// The zero Guardrails set no stage budget and no breaker.
-	for _, r := range batch.Detect(context.Background(), windows, guard.Guardrails{}) {
-		if r.Err != nil {
-			log.Fatal(r.Err)
-		}
-		fmt.Printf("window %d attacker: %v\n", r.Index, r.Verdict.Attacker)
-	}
-	// Output:
-	// window 0 attacker: false
-	// window 1 attacker: true
-	// window 2 attacker: false
 }
 
 // Judge a live call hop by hop with the incremental stream engine.

@@ -21,7 +21,7 @@ var (
 		"guard_train_seconds", "End-to-end Train latency.", obs.LatencyBuckets())
 
 	metricDetectTotal = obs.Default.Counter(
-		"guard_detect_total", "Detect calls (direct, trace, batch and DetectSamples paths included).")
+		"guard_detect_total", "Detect calls (direct, trace and DetectSamples paths included).")
 	metricDetectErrors = obs.Default.Counter(
 		"guard_detect_errors_total", "Detect calls rejected with an error (non-finite input, extraction failure).")
 	metricDetectSeconds = obs.Default.Histogram(
@@ -39,13 +39,8 @@ var (
 	metricWindowQuality = obs.Default.Histogram(
 		"guard_window_quality", "Capture-health score of judged windows (1 = clean, gapless).", obs.RatioBuckets())
 
-	metricBatchWindows = obs.Default.Counter(
-		"guard_batch_windows_total", "Windows processed by the batch engine.")
 	metricPanics = obs.Default.CounterVec(
-		"guard_panics_recovered_total", "Panics contained to one window/session, by recovery site.", "site")
-
-	metricStageTimeouts = obs.Default.Counter(
-		"guard_stage_timeouts_total", "Batch detection stages abandoned past their Guardrails budget (the stuck goroutine is orphaned, the window errs with ErrStageTimeout).")
+		"guard_panics_recovered_total", "Panics contained to one training session, by recovery site.", "site")
 
 	metricStreamHops = obs.Default.Counter(
 		"guard_stream_hops_total", "Hop windows judged by the incremental StreamDetector.")

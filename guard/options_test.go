@@ -107,11 +107,10 @@ func TestZeroWorkersIsValid(t *testing.T) {
 	}
 	opt := DefaultOptions()
 	opt.SkipEnrollmentCheck = true
-	det, err := Train(opt, tenSessions()) // flat signals: extraction still succeeds
-	if err != nil {
+	if _, err := Train(opt, tenSessions()); err != nil { // flat signals: extraction still succeeds
 		t.Fatalf("zero workers rejected: %v", err)
 	}
-	if det.workers < 1 {
-		t.Errorf("trained detector resolved %d workers", det.workers)
+	if w := opt.workerCount(); w < 1 {
+		t.Errorf("zero Workers resolved to %d workers", w)
 	}
 }

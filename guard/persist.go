@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 
 	"repro/internal/core"
 )
@@ -84,7 +83,7 @@ func Load(r io.Reader) (*Detector, error) {
 		// load path means the artifact is damaged or hand-edited.
 		return nil, &FormatError{What: "detector", Err: err}
 	}
-	d, err := newDetector(df.Snapshot.Config, det, runtime.GOMAXPROCS(0))
+	d, err := newDetector(df.Snapshot.Config, det)
 	if err != nil {
 		return nil, &FormatError{What: "detector", Err: err}
 	}

@@ -236,8 +236,7 @@ const (
 // samples as they arrive, runs both signals through O(1)-per-sample
 // sliding filter chains, and judges the trailing window every HopSamples
 // ticks — a verdict per hop instead of per full window, with no per-hop
-// recomputation of the chain, a banded DTW, and index-accelerated LOF
-// scoring underneath.
+// recomputation of the chain and a banded DTW underneath.
 //
 // Its verdicts are bit-identical to DetectStreamBatch, the retained batch
 // reference that runs the whole stream through the batch chain and

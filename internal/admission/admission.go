@@ -29,12 +29,6 @@ var (
 	ErrDraining = fmt.Errorf("%w: service draining", ErrShed)
 )
 
-// ErrBreakerOpen rejects work while a circuit breaker is open. It is
-// deliberately not a shed: the request was refused because the *stage*
-// is sick, not because the service is busy, and callers typically map it
-// to an Inconclusive verdict rather than a retry.
-var ErrBreakerOpen = errors.New("admission: circuit breaker open")
-
 // Priority ranks requests for queue ordering and eviction. Higher values
 // are served first and shed last; the zero value is Standard so plain
 // requests need no configuration.

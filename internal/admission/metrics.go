@@ -10,9 +10,7 @@ import (
 // the operator's first overload signal — a nonzero rate means callers
 // are being refused, and the cause label says whether the fix is more
 // workers (queue_full), tighter client deadlines (deadline), a rate
-// budget bump (throttled), or an incident (draining). Breaker
-// transitions turning over means a stage is flapping between sick and
-// healthy; sustained rejects mean it is down and being routed around.
+// budget bump (throttled), or an incident (draining).
 var (
 	metricAdmitted = obs.Default.Counter(
 		"admission_admitted_total", "Requests accepted into the admission queue.")
@@ -23,11 +21,6 @@ var (
 	metricQueueWait = obs.Default.Histogram(
 		"admission_queue_wait_seconds", "Time a request waited in the admission queue before dispatch.",
 		obs.LatencyBuckets())
-
-	metricBreakerTransitions = obs.Default.CounterVec(
-		"admission_breaker_transitions_total", "Circuit-breaker state entries, by state.", "state")
-	metricBreakerRejects = obs.Default.Counter(
-		"admission_breaker_rejects_total", "Work refused because a circuit breaker was open (half-open probe contention included).")
 
 	metricDrains = obs.Default.CounterVec(
 		"admission_drain_total", "Graceful drains, by outcome (clean = everything finished in budget).", "result")

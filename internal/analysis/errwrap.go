@@ -16,11 +16,8 @@ var errWrapSentinelScope = []string{"internal/admission", "guard"}
 // the scoped packages must wrap a root (or another sentinel) with %w.
 var errWrapRoots = map[string]bool{
 	// ErrShed roots the load-shedding family (queue full, evicted,
-	// deadline, throttled, draining, stage timeouts).
+	// deadline, throttled, draining).
 	"ErrShed": true,
-	// ErrBreakerOpen is deliberately its own root: a sick stage is not
-	// a busy service, and callers map it to Inconclusive, not retry.
-	"ErrBreakerOpen": true,
 }
 
 // ErrWrap enforces two error-chain invariants. Everywhere: a

@@ -15,7 +15,6 @@ package lof
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Model is a trained LOF novelty detector.
@@ -25,7 +24,6 @@ type Model struct {
 	dim   int
 	kDist []float64 // k-distance of each training point within the set
 	lrd   []float64 // local reachability density of each training point
-	index *kdIndex  // precomputed k-NN index; nil falls back to brute force
 }
 
 // New trains a model on the given feature vectors with k neighbours
@@ -56,7 +54,6 @@ func New(training [][]float64, k int) (*Model, error) {
 		data[i] = append([]float64(nil), v...)
 	}
 	m := &Model{data: data, k: k, dim: dim}
-	m.index = buildIndex(m.data)
 	m.precompute()
 	return m, nil
 }
@@ -83,36 +80,46 @@ func (m *Model) neighborsOf(x []float64, skip int) []neighbor {
 }
 
 // neighborsInto is neighborsOf reusing buf's backing array (it grows
-// only when k exceeds its capacity). It queries the precomputed KD-tree
-// index; results are bit-identical to the brute-force scan
-// (index_test.go enforces this), which remains as the reference path.
+// only when k exceeds its capacity). It scans all n training points and
+// keeps the k best, sorted ascending by (distance, index). At the
+// paper's scale (n = 20, k = 5) the scan beats a KD-tree query.
 func (m *Model) neighborsInto(buf []neighbor, x []float64, skip int) []neighbor {
-	if m.index != nil {
-		return m.index.search(x, m.k, skip, buf)
-	}
-	return m.bruteNeighborsOf(x, skip)
-}
-
-// bruteNeighborsOf is the reference O(n) scan.
-func (m *Model) bruteNeighborsOf(x []float64, skip int) []neighbor {
-	all := make([]neighbor, 0, len(m.data))
+	ns := buf[:0]
 	for i, p := range m.data {
 		if i == skip {
 			continue
 		}
-		//lint:ignore vclint/hotpathalloc appends into a buffer preallocated to full capacity two lines up; no per-iteration growth
-		all = append(all, neighbor{idx: i, dist: euclidean(x, p)})
-	}
-	sort.Slice(all, func(a, b int) bool {
-		if all[a].dist != all[b].dist {
-			return all[a].dist < all[b].dist
+		nb := neighbor{idx: i, dist: euclidean(x, p)}
+		if len(ns) < m.k || neighborLess(nb, ns[len(ns)-1]) {
+			ns = insertNeighbor(ns, m.k, nb)
 		}
-		return all[a].idx < all[b].idx
-	})
-	if len(all) > m.k {
-		all = all[:m.k]
 	}
-	return all
+	return ns
+}
+
+// insertNeighbor inserts nb into cur, which is sorted ascending by
+// (dist, idx), and drops the kth entry when cur already holds k. The
+// caller checks that nb belongs: cur has room, or nb beats the kth.
+func insertNeighbor(cur []neighbor, k int, nb neighbor) []neighbor {
+	if len(cur) == k {
+		cur = cur[:k-1]
+	}
+	pos := len(cur)
+	for pos > 0 && neighborLess(nb, cur[pos-1]) {
+		pos--
+	}
+	cur = append(cur, neighbor{})
+	copy(cur[pos+1:], cur[pos:])
+	cur[pos] = nb
+	return cur
+}
+
+// neighborLess orders neighbours by distance, then training index.
+func neighborLess(a, b neighbor) bool {
+	if a.dist != b.dist {
+		return a.dist < b.dist
+	}
+	return a.idx < b.idx
 }
 
 // precompute fills kDist and lrd for every training point.
@@ -144,8 +151,7 @@ func (m *Model) lrdOf(ns []neighbor) float64 {
 	}
 	mean := sum / float64(len(ns))
 	if mean == 0 {
-		// Duplicated points: density is effectively infinite; use a large
-		// finite stand-in so ratios stay well-defined.
+		// Duplicated points: the density is infinite (see lofOf).
 		return math.Inf(1)
 	}
 	return 1 / mean
@@ -155,12 +161,11 @@ func (m *Model) lrdOf(ns []neighbor) float64 {
 // a larger k spills its query buffer to the heap.
 const scoreStackNeighbors = 16
 
-// Score returns LOF_k(x) for a query vector: ~1 for inliers, larger for
-// outliers. Infinite training densities (duplicate clusters) score as 1
-// when the query sits on them and +Inf when it does not.
-func (m *Model) Score(x []float64) (float64, error) {
+// checkQuery rejects a query of the wrong dimension or with a NaN or
+// ±Inf component: its distances would order the neighbours arbitrarily.
+func (m *Model) checkQuery(x []float64) error {
 	if len(x) != m.dim {
-		return 0, fmt.Errorf("lof: query dimension %d, want %d", len(x), m.dim)
+		return fmt.Errorf("lof: query dimension %d, want %d", len(x), m.dim)
 	}
 	bad := -1
 	for j, v := range x {
@@ -170,29 +175,20 @@ func (m *Model) Score(x []float64) (float64, error) {
 		}
 	}
 	if bad >= 0 {
-		return 0, fmt.Errorf("lof: query component %d is not finite", bad)
+		return fmt.Errorf("lof: query component %d is not finite", bad)
+	}
+	return nil
+}
+
+// Score returns LOF_k(x) for a query vector: ~1 for inliers, larger for
+// outliers. Infinite training densities (duplicate clusters) score as 1
+// when the query sits on them and +Inf when it does not.
+func (m *Model) Score(x []float64) (float64, error) {
+	if err := m.checkQuery(x); err != nil {
+		return 0, err
 	}
 	var buf [scoreStackNeighbors]neighbor
-	ns := m.neighborsInto(buf[:0], x, -1)
-	queryLRD := m.lrdOf(ns)
-	var sum float64
-	var infs int
-	for _, nb := range ns {
-		if math.IsInf(m.lrd[nb.idx], 1) {
-			infs++
-			continue
-		}
-		sum += m.lrd[nb.idx]
-	}
-	if math.IsInf(queryLRD, 1) {
-		// Query coincides with a zero-spread cluster: perfectly inlying.
-		return 1, nil
-	}
-	if infs == len(ns) {
-		return math.Inf(1), nil
-	}
-	meanNeighborLRD := sum / float64(len(ns)-infs)
-	return meanNeighborLRD / queryLRD, nil
+	return m.lofOf(m.neighborsInto(buf[:0], x, -1)), nil
 }
 
 // ScoreEq8 returns the paper's Eq. (8) exactly as printed — the mean LRD
@@ -200,8 +196,8 @@ func (m *Model) Score(x []float64) (float64, error) {
 // ablation bench; its scale depends on the data density, so a fixed
 // threshold does not transfer across users.
 func (m *Model) ScoreEq8(x []float64) (float64, error) {
-	if len(x) != m.dim {
-		return 0, fmt.Errorf("lof: query dimension %d, want %d", len(x), m.dim)
+	if err := m.checkQuery(x); err != nil {
+		return 0, err
 	}
 	ns := m.neighborsOf(x, -1)
 	var sum float64
@@ -217,27 +213,32 @@ func (m *Model) ScoreEq8(x []float64) (float64, error) {
 func (m *Model) TrainingScores() []float64 {
 	out := make([]float64, len(m.data))
 	for i, p := range m.data {
-		ns := m.neighborsOf(p, i)
-		selfLRD := m.lrdOf(ns)
-		var sum float64
-		var infs int
-		for _, nb := range ns {
-			if math.IsInf(m.lrd[nb.idx], 1) {
-				infs++
-				continue
-			}
-			sum += m.lrd[nb.idx]
-		}
-		switch {
-		case math.IsInf(selfLRD, 1):
-			out[i] = 1
-		case infs == len(ns):
-			out[i] = math.Inf(1)
-		default:
-			out[i] = (sum / float64(len(ns)-infs)) / selfLRD
-		}
+		out[i] = m.lofOf(m.neighborsOf(p, i))
 	}
 	return out
+}
+
+// lofOf is the LOF of a point with neighbours ns, the mean of their
+// finite LRDs over the point's own, for Score and TrainingScores.
+func (m *Model) lofOf(ns []neighbor) float64 {
+	lrd := m.lrdOf(ns)
+	if math.IsInf(lrd, 1) {
+		// The point coincides with a zero-spread cluster: perfectly inlying.
+		return 1
+	}
+	var sum float64
+	var infs int
+	for _, nb := range ns {
+		if math.IsInf(m.lrd[nb.idx], 1) {
+			infs++
+			continue
+		}
+		sum += m.lrd[nb.idx]
+	}
+	if infs == len(ns) {
+		return math.Inf(1)
+	}
+	return (sum / float64(len(ns)-infs)) / lrd
 }
 
 func euclidean(a, b []float64) float64 {

@@ -221,6 +221,16 @@ func TestScoreEq8Variant(t *testing.T) {
 	if _, err := m.ScoreEq8([]float64{0}); err == nil {
 		t.Error("dimension mismatch accepted")
 	}
+	// A non-finite component is rejected with Score's error, not scored
+	// by whatever order the search happened to visit the points in.
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		q := []float64{0, bad}
+		_, errEq8 := m.ScoreEq8(q)
+		_, errScore := m.Score(q)
+		if errEq8 == nil || errScore == nil || errEq8.Error() != errScore.Error() {
+			t.Errorf("query %v: ScoreEq8 err = %v, Score err = %v, want one shared error", q, errEq8, errScore)
+		}
+	}
 }
 
 func TestAccessors(t *testing.T) {

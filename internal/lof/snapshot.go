@@ -3,10 +3,9 @@ package lof
 import "fmt"
 
 // Snapshot is the serializable state of a trained model: the training
-// points and neighbourhood size. Derived quantities (k-distances, LRDs,
-// and the k-NN index that accelerates Score) are recomputed on load, so
-// snapshots stay valid across internal refactors and the index never
-// needs its own serialization format.
+// points and neighbourhood size. Derived quantities (k-distances and
+// LRDs) are recomputed on load, so snapshots stay valid across internal
+// refactors.
 type Snapshot struct {
 	K      int         `json:"k"`
 	Points [][]float64 `json:"points"`

@@ -2,7 +2,7 @@
 // dependency-free metrics registry (atomic counters, gauges, lock-free
 // histogram buckets) plus a ring-buffer span recorder for coarse stage
 // tracing. Every hot path of the defense — guard.Detect/DetectSamples/
-// Train, the batch engine, the chat scheduler, and the preprocessing
+// Train, the stream detector, the chat scheduler, and the preprocessing
 // chain — registers its instruments against the Default registry at
 // package init, so importing those packages is all it takes for the
 // metrics to exist; OBSERVABILITY.md catalogs them.

@@ -5,7 +5,7 @@
 // Three paths judge the identical hop grid over the identical stream:
 //
 //   - incremental: guard.StreamDetector — O(1)-per-sample sliding filter
-//     chains, Sakoe-Chiba-banded DTW, KD-tree LOF. The live default.
+//     chains, Sakoe-Chiba-banded DTW, k-best-scan LOF. The live default.
 //   - per_window: the pre-incremental hot path — every hop re-runs the
 //     full batch pipeline (filter chain, unbanded DTW) on the raw
 //     trailing window via Detector.Detect.

@@ -1,8 +1,8 @@
 package repro_test
 
 import (
-	"context"
 	"math"
+	"sync"
 	"testing"
 	"time"
 
@@ -35,11 +35,12 @@ func measure(body func()) *snapDelta {
 	return d
 }
 
-// TestObservabilityBatchDetect drives the parallel batch engine through
-// the fully instrumented path (run with -race in CI) and asserts the
-// metric deltas the run must leave behind: one Detect and one verdict per
-// window, one observation per pipeline stage per window, and two
-// preprocess passes (tx + rx) per window.
+// TestObservabilityBatchDetect fans a batch of windows out over four
+// goroutines sharing one Detector, as a caller with many windows does,
+// through the fully instrumented path (run with -race in CI), and
+// asserts the metric deltas the run must leave behind: one Detect and
+// one verdict per window, one observation per pipeline stage per window,
+// and two preprocess passes (tx + rx) per window.
 func TestObservabilityBatchDetect(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
@@ -77,19 +78,25 @@ func TestObservabilityBatchDetect(t *testing.T) {
 	}
 	n := int64(len(windows))
 
-	batch, err := det.Batch(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var results []guard.BatchVerdict
+	errs := make([]error, len(windows))
 	start := time.Now()
 	delta := measure(func() {
-		results = batch.Detect(context.Background(), windows, guard.Guardrails{})
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := w; i < len(windows); i += 4 {
+					_, errs[i] = det.Detect(windows[i].Transmitted, windows[i].Received)
+				}
+			}(w)
+		}
+		wg.Wait()
 	})
 	elapsed := time.Since(start)
-	for _, r := range results {
-		if r.Err != nil {
-			t.Fatalf("window %d: %v", r.Index, r.Err)
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("window %d: %v", i, err)
 		}
 	}
 
@@ -103,9 +110,6 @@ func TestObservabilityBatchDetect(t *testing.T) {
 	}
 	if got := delta.counter("guard_verdicts_total"); got != n {
 		t.Errorf("guard_verdicts_total delta = %d, want %d", got, n)
-	}
-	if got := delta.counter("guard_batch_windows_total"); got != n {
-		t.Errorf("guard_batch_windows_total delta = %d, want %d", got, n)
 	}
 	if got := delta.counter("guard_panics_recovered_total"); got != 0 {
 		t.Errorf("guard_panics_recovered_total delta = %d, want 0", got)
@@ -133,7 +137,7 @@ func TestObservabilityBatchDetect(t *testing.T) {
 	if got := delta.histCount("preprocess_stage_seconds"); got == 0 {
 		t.Error("preprocess_stage_seconds recorded nothing")
 	}
-	// Batch windows arrive pre-gridded; the resampler must not run.
+	// Detect windows arrive pre-gridded; the resampler must not run.
 	if got := delta.counter("preprocess_resample_total"); got != 0 {
 		t.Errorf("preprocess_resample_total delta = %d, want 0 on the gridded path", got)
 	}
@@ -143,7 +147,7 @@ func TestObservabilityBatchDetect(t *testing.T) {
 	// only order-of-magnitude regressions (a lock on the hot path), not
 	// scheduler noise.
 	if perWindow := elapsed / time.Duration(n); perWindow > 250*time.Millisecond {
-		t.Errorf("batch detect took %v per window; instrumented path is far off budget", perWindow)
+		t.Errorf("detect took %v per window; instrumented path is far off budget", perWindow)
 	}
 }
 
