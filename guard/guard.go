@@ -102,11 +102,13 @@ type Verdict struct {
 // number of goroutines may call Detect, DetectTrace and CombineVerdicts
 // on one shared instance, and a caller with many windows fans them out
 // over it directly (see also core.Detector, which carries the same
-// guarantee).
+// guarantee). The one thing it builds later, a stream shape's gate
+// texts, is built once behind a mutex.
 type Detector struct {
 	cfg   core.Config
 	det   *core.Detector
 	chain *preprocess.ChainDesign // filter coefficients shared by every StreamDetector
+	gates gateCache               // gate texts shared by every StreamDetector of a shape
 }
 
 // newDetector pairs a trained core model with the filter design its

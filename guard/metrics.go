@@ -2,6 +2,7 @@ package guard
 
 import (
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/obs"
 )
@@ -50,8 +51,7 @@ var (
 
 // reasonLabel turns a ReasonCode's stable string into a label value
 // ("gap ratio" -> "gap_ratio") so alerting rules never quote spaces.
-// Every inconclusive hop asks for one, so the defined codes' labels are
-// built once, in reasonLabels.
+// The defined codes' labels are built once, in reasonLabels.
 func reasonLabel(c ReasonCode) string {
 	if c >= 0 && int(c) < len(reasonLabels) {
 		return reasonLabels[c]
@@ -72,12 +72,34 @@ var reasonLabels = func() (l [ReasonStale + 1]string) {
 	return l
 }()
 
+// inconclusiveByCode holds each defined code's
+// guard_windows_inconclusive_total child, resolved on the code's first
+// abstention: a hop then reads a pointer instead of locking the
+// family's map, and a reason still appears in the exposition only once
+// a window has abstained for it.
+var inconclusiveByCode [ReasonStale + 1]atomic.Pointer[obs.Counter]
+
+// inconclusiveCounter returns c's abstention counter.
+func inconclusiveCounter(c ReasonCode) *obs.Counter {
+	if c < 0 || int(c) >= len(inconclusiveByCode) {
+		return metricWindowsInconclusive.With(labelOf(c))
+	}
+	ctr := inconclusiveByCode[c].Load()
+	if ctr == nil {
+		// With returns the one child of a label, so racing first uses
+		// store the same pointer.
+		ctr = metricWindowsInconclusive.With(reasonLabels[c])
+		inconclusiveByCode[c].Store(ctr)
+	}
+	return ctr
+}
+
 // recordWindow feeds one quality-gated window result (StreamDetector or
 // DetectSamples) into the abstention counters and the quality histogram.
 func recordWindow(res *WindowResult) {
 	metricWindowQuality.Observe(res.Quality)
 	if res.Inconclusive {
-		metricWindowsInconclusive.With(reasonLabel(res.Code)).Inc()
+		inconclusiveCounter(res.Code).Inc()
 		return
 	}
 	metricWindowsConclusive.Inc()

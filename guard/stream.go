@@ -104,18 +104,16 @@ func (d *Detector) detectSamples(tx, rx []preprocess.Sample, q StreamQuality) (W
 			invalid++
 		}
 	}
+	// The stream gate with every invalid sample a gap: no landmark or
+	// stale count, so only the gap bound can close the window.
 	total := n + txDropped + rxDropped
-	gapRatio := float64(invalid) / float64(total)
-	quality := 1 - gapRatio
-	if quality < 0 {
-		quality = 0
-	}
-	if gapRatio > q.MaxGapRatio {
+	code, quality := gateWindow(total, invalid, 0, 0, q.MaxGapRatio, 1)
+	if code != ReasonNone {
 		return WindowResult{
 			Inconclusive: true,
-			Code:         ReasonGapRatio,
+			Code:         code,
 			Reason: fmt.Sprintf("%s: %d/%d grid samples invalid (%d non-finite dropped, bound %.0f%%)",
-				ReasonGapRatio, invalid, total, txDropped+rxDropped, 100*q.MaxGapRatio),
+				code, invalid, total, txDropped+rxDropped, 100*q.MaxGapRatio),
 			Quality: quality,
 			Gaps:    invalid,
 		}, nil
@@ -225,13 +223,6 @@ func (c StreamConfig) withDefaults() StreamConfig {
 	return c
 }
 
-// Stream-health flag bits, one byte per tick in the detector's flag ring.
-const (
-	streamFlagGap uint8 = 1 << iota
-	streamFlagLandmark
-	streamFlagStale
-)
-
 // StreamDetector is the incremental detection hot path: it accepts
 // samples as they arrive, runs both signals through O(1)-per-sample
 // sliding filter chains, and judges the trailing window every HopSamples
@@ -248,10 +239,11 @@ const (
 // the two smoothed-window rings and the flag ring. A judged hop borrows
 // everything else — the linearized windows, peak lists and feature
 // buffers — from a pool shared by all sessions, and the filter
-// coefficients belong to the trained Detector.
+// coefficients and gate texts belong to the trained Detector.
 type StreamDetector struct {
 	det     *Detector
 	cfg     StreamConfig
+	gate    *streamGate // shared by every session of this shape
 	txChain *preprocess.StreamChain
 	rxChain *preprocess.StreamChain
 	latency int
@@ -284,6 +276,7 @@ func (d *Detector) NewStreamDetector(cfg StreamConfig) (*StreamDetector, error) 
 	return &StreamDetector{
 		det:     d,
 		cfg:     cfg,
+		gate:    d.streamGate(cfg),
 		txChain: txChain,
 		rxChain: d.chain.NewChain(),
 		latency: txChain.Latency(),
@@ -432,28 +425,10 @@ func (sc *hopScratch) windows(w int) (winTx, winRx []float64) {
 func (sd *StreamDetector) judgeHop(e int) WindowResult {
 	w := sd.cfg.WindowSamples
 	first := e - w + 1
-	var gaps, lmLost, stale int
-	fl := len(sd.flags)
-	p := first % fl
-	for i := 0; i < w; i++ {
-		f := sd.flags[p]
-		if p++; p == fl {
-			p = 0
-		}
-		if f == 0 {
-			continue
-		}
-		if f&streamFlagGap != 0 {
-			gaps++
-		}
-		if f&streamFlagLandmark != 0 {
-			lmLost++
-		}
-		if f&streamFlagStale != 0 {
-			stale++
-		}
-	}
-	res := gateStreamWindow(w, gaps, lmLost, stale, sd.cfg)
+	// The window's w flags start at p and wrap past the ring's end.
+	p := first % len(sd.flags)
+	head := sd.flags[p:min(p+w, len(sd.flags))]
+	res := sd.gate.open(tallyFlags(head, sd.flags[:w-len(head)]))
 	if res.Inconclusive {
 		return res
 	}
@@ -466,7 +441,7 @@ func (sd *StreamDetector) judgeHop(e int) WindowResult {
 	copy(winTx[k:], sd.smTx[:rot])
 	copy(winRx, sd.smRx[rot:])
 	copy(winRx[k:], sd.smRx[:rot])
-	res = sd.det.judgeStreamWindow(sc, winTx, winRx, sd.cfg, res)
+	res = sd.det.judgeStreamWindow(sc, winTx, winRx, sd.cfg, sd.gate, res)
 	hopScratchPool.Put(sc)
 	return res
 }
@@ -504,44 +479,14 @@ func (d *Detector) streamFeatures(cfg StreamConfig) features.Config {
 	return fcfg
 }
 
-// gateStreamWindow opens the result of an n-sample hop window from its
-// capture-health tally: the quality score and counts, and, when the
-// window breaks the landmark, gap or stale bound (checked in that
-// order), the inconclusive reason. Only a window that passes goes on to
-// judgeStreamWindow. The incremental path runs it before linearizing
-// the window and DetectStreamBatch runs it the same way, so a gate exit
-// costs neither path the window copy or the scratch.
-func gateStreamWindow(n, gaps, lmLost, stale int, cfg StreamConfig) WindowResult {
-	quality := 1 - (float64(gaps)+0.5*float64(stale))/float64(n)
-	if quality < 0 {
-		quality = 0
-	}
-	res := WindowResult{Quality: quality, Gaps: gaps, Stale: stale}
-	switch {
-	case float64(lmLost)/float64(n) > cfg.MaxGapRatio:
-		res.Inconclusive, res.Code = true, ReasonLandmarkLoss
-		res.Reason = fmt.Sprintf("%s: %d/%d samples without a landmark fix (bound %.0f%%)",
-			ReasonLandmarkLoss, lmLost, n, 100*cfg.MaxGapRatio)
-	case float64(gaps)/float64(n) > cfg.MaxGapRatio:
-		res.Inconclusive, res.Code = true, ReasonGapRatio
-		res.Reason = fmt.Sprintf("%s: %d/%d samples missing or invalid (bound %.0f%%)",
-			ReasonGapRatio, gaps, n, 100*cfg.MaxGapRatio)
-	case float64(stale)/float64(n) > cfg.MaxStaleRatio:
-		res.Inconclusive, res.Code = true, ReasonStale
-		res.Reason = fmt.Sprintf("%s: %d/%d received samples stale (bound %.0f%%)",
-			ReasonStale, stale, n, 100*cfg.MaxStaleRatio)
-	}
-	return res
-}
-
 // judgeStreamWindow classifies one hop window of the continuous smoothed
-// signal that passed gateStreamWindow, completing the gate's result res,
-// with sc's peak lists and extractor as working memory. It is shared
+// signal that passed the stream gate g, completing the gate's result
+// res, with sc's peak lists and extractor as working memory. It is shared
 // verbatim by the incremental path (over linearized ring windows) and
 // DetectStreamBatch (over batch slices) — the equivalence between the
 // two reduces to their chain outputs and flag tallies, which the
 // differential suite pins bitwise.
-func (d *Detector) judgeStreamWindow(sc *hopScratch, winTx, winRx []float64, cfg StreamConfig, res WindowResult) WindowResult {
+func (d *Detector) judgeStreamWindow(sc *hopScratch, winTx, winRx []float64, cfg StreamConfig, g *streamGate, res WindowResult) WindowResult {
 	sc.peaksTx = dsp.AppendPeaks(sc.peaksTx[:0], winTx, d.cfg.ScreenProminence)
 	sc.peaksRx = dsp.AppendPeaks(sc.peaksRx[:0], winRx, d.cfg.FaceProminence)
 	resTx := preprocess.Result{Smoothed: winTx, Peaks: sc.peaksTx}
@@ -554,8 +499,7 @@ func (d *Detector) judgeStreamWindow(sc *hopScratch, winTx, winRx []float64, cfg
 	}
 	if detail.TxChanges < cfg.MinChallenges {
 		res.Inconclusive, res.Code, res.Challenges = true, ReasonNoChallenge, detail.TxChanges
-		res.Reason = fmt.Sprintf("%s: only %d challenges in window (need %d)",
-			ReasonNoChallenge, detail.TxChanges, cfg.MinChallenges)
+		res.Reason = g.noChallengeReason(detail.TxChanges)
 		return res
 	}
 	dec, err := d.det.DetectVector(v)
@@ -622,24 +566,13 @@ func (d *Detector) DetectStreamBatch(samples []StreamSample, cfg StreamConfig) (
 		return nil, fmt.Errorf("guard: received stream: %w", err)
 	}
 	sc := new(hopScratch)
+	g := d.streamGate(cfg)
 	var out []WindowResult
 	for e := cfg.WindowSamples - 1; e < n; e += cfg.HopSamples {
 		first := e - cfg.WindowSamples + 1
-		var gaps, lmLost, stale int
-		for _, f := range flags[first : e+1] {
-			if f&streamFlagGap != 0 {
-				gaps++
-			}
-			if f&streamFlagLandmark != 0 {
-				lmLost++
-			}
-			if f&streamFlagStale != 0 {
-				stale++
-			}
-		}
-		res := gateStreamWindow(cfg.WindowSamples, gaps, lmLost, stale, cfg)
+		res := g.open(tallyFlags(flags[first:e+1], nil))
 		if !res.Inconclusive {
-			res = d.judgeStreamWindow(sc, smTx[first:e+1], smRx[first:e+1], cfg, res)
+			res = d.judgeStreamWindow(sc, smTx[first:e+1], smRx[first:e+1], cfg, g, res)
 		}
 		out = append(out, res)
 	}

@@ -1,7 +1,9 @@
 package guard
 
 import (
+	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"testing"
 )
@@ -142,4 +144,132 @@ func FuzzStreamPush(f *testing.F) {
 			}
 		}
 	})
+}
+
+// referenceTally is the flag tally as the hop computed it byte by byte
+// before the word-wide tallyFlags, frozen as that function's oracle.
+func referenceTally(flags []uint8) (gaps, lmLost, stale int) {
+	for _, f := range flags {
+		if f == 0 {
+			continue
+		}
+		if f&streamFlagGap != 0 {
+			gaps++
+		}
+		if f&streamFlagLandmark != 0 {
+			lmLost++
+		}
+		if f&streamFlagStale != 0 {
+			stale++
+		}
+	}
+	return gaps, lmLost, stale
+}
+
+// FuzzFlagTallyMatchesReference holds the word-wide tally to the frozen
+// byte loop over arbitrary flag bytes — any value, not only the three
+// defined bits — of up to 400 ticks, split at any point as a ring
+// window wraps.
+func FuzzFlagTallyMatchesReference(f *testing.F) {
+	f.Add([]byte{}, uint16(0))
+	f.Add([]byte{1, 2, 4, 7, 0, 255, 8, 3, 5}, uint16(4))
+	f.Add(bytes.Repeat([]byte{0xff}, 400), uint16(151))
+	f.Add(bytes.Repeat([]byte{1, 0, 2, 0, 4, 6, 0xf8}, 22), uint16(17))
+	f.Fuzz(func(t *testing.T, data []byte, split uint16) {
+		data = data[:min(len(data), 400)]
+		k := int(split) % (len(data) + 1)
+		gaps, lmLost, stale := tallyFlags(data[:k], data[k:])
+		wg, wl, ws := referenceTally(data)
+		if gaps != wg || lmLost != wl || stale != ws {
+			t.Fatalf("%d bytes split at %d: tally (%d, %d, %d), reference (%d, %d, %d)",
+				len(data), k, gaps, lmLost, stale, wg, wl, ws)
+		}
+	})
+}
+
+// referenceReason is a stream window's abstention Reason as the hop
+// formatted it with Sprintf before the texts were interned, frozen as
+// the oracle of the stream gate's tables. count is the landmark-lost,
+// gap or stale count, or the transmitted changes of a no-challenge
+// window.
+func referenceReason(code ReasonCode, count int, cfg StreamConfig) string {
+	n := cfg.WindowSamples
+	switch code {
+	case ReasonLandmarkLoss:
+		return fmt.Sprintf("%s: %d/%d samples without a landmark fix (bound %.0f%%)",
+			ReasonLandmarkLoss, count, n, 100*cfg.MaxGapRatio)
+	case ReasonGapRatio:
+		return fmt.Sprintf("%s: %d/%d samples missing or invalid (bound %.0f%%)",
+			ReasonGapRatio, count, n, 100*cfg.MaxGapRatio)
+	case ReasonStale:
+		return fmt.Sprintf("%s: %d/%d received samples stale (bound %.0f%%)",
+			ReasonStale, count, n, 100*cfg.MaxStaleRatio)
+	case ReasonNoChallenge:
+		return fmt.Sprintf("%s: only %d challenges in window (need %d)",
+			ReasonNoChallenge, count, cfg.MinChallenges)
+	}
+	panic("no reference text for " + code.String())
+}
+
+// TestGateReasonsMatchReference checks every interned Reason of three
+// stream shapes, whose detectors are alive at once, against the frozen
+// formats: each landmark, gap and stale count from 0 to the window
+// length, and each no-challenge count below the minimum. A table shared
+// across shapes would hand one shape another's texts; the third shape's
+// minimum exceeds its window, so its top counts take the formatted
+// fallback.
+func TestGateReasonsMatchReference(t *testing.T) {
+	det := trainDetector(t)
+	shapes := []StreamConfig{
+		DefaultStreamConfig(),
+		{WindowSamples: 97, HopSamples: 4, MinChallenges: 3, MaxGapRatio: 0.35, MaxStaleRatio: 0.25},
+		{WindowSamples: 40, HopSamples: 40, MinChallenges: 45, MaxGapRatio: 0.125, MaxStaleRatio: 0.875},
+	}
+	sds := make([]*StreamDetector, len(shapes))
+	for i, cfg := range shapes {
+		sd, err := det.NewStreamDetector(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sds[i] = sd
+	}
+	for i, sd := range sds {
+		cfg := sd.cfg
+		var exits [ReasonStale + 1]int
+		for c := 0; c <= cfg.WindowSamples; c++ {
+			for _, tc := range []struct {
+				code                ReasonCode
+				gaps, lmLost, stale int
+			}{
+				{ReasonLandmarkLoss, c, c, 0}, // a landmark-lost tick is a gap too
+				{ReasonGapRatio, c, 0, 0},
+				{ReasonStale, 0, 0, c},
+			} {
+				res := sd.gate.open(tc.gaps, tc.lmLost, tc.stale)
+				if !res.Inconclusive {
+					if res.Code != ReasonNone || res.Reason != "" {
+						t.Fatalf("shape %d, %v count %d: passing window with code %v, reason %q", i, tc.code, c, res.Code, res.Reason)
+					}
+					continue
+				}
+				exits[tc.code]++
+				if res.Code != tc.code {
+					t.Fatalf("shape %d, %v count %d: exit with code %v", i, tc.code, c, res.Code)
+				}
+				if want := referenceReason(tc.code, c, cfg); res.Reason != want {
+					t.Fatalf("shape %d, %v count %d:\ngot  %q\nwant %q", i, tc.code, c, res.Reason, want)
+				}
+			}
+		}
+		for _, code := range []ReasonCode{ReasonLandmarkLoss, ReasonGapRatio, ReasonStale} {
+			if exits[code] == 0 {
+				t.Errorf("shape %d: no count exits at the %v gate", i, code)
+			}
+		}
+		for c := 0; c < cfg.MinChallenges; c++ {
+			if got, want := sd.gate.noChallengeReason(c), referenceReason(ReasonNoChallenge, c, cfg); got != want {
+				t.Fatalf("shape %d, %d challenges:\ngot  %q\nwant %q", i, c, got, want)
+			}
+		}
+	}
 }

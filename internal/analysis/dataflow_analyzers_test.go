@@ -194,7 +194,7 @@ func Push(v float64) float64 {
 
 func Unrelated() {}
 `,
-			want:    3,
+			want:    5,
 			wantSub: "registered hot-path root",
 		},
 	}

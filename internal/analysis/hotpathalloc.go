@@ -9,10 +9,12 @@ package analysis
 // Two tiers:
 //
 //   - per-sample roots (the dsp sliding Push operators, the preprocess
-//     StreamChain.Push, guard's StreamDetector.Push): every function
-//     reachable from them through static calls must not allocate at
-//     all — no append, make, new, slice/map literals, closures,
-//     interface boxing, string building, goroutine spawns, or fmt.
+//     StreamChain.Push, guard's StreamDetector.Push, and guard's window
+//     gate and flag tally, which every hop runs and most live hops end
+//     at): every function reachable from them through static calls must
+//     not allocate at all — no append, make, new, slice/map literals,
+//     closures, interface boxing, string building, goroutine spawns, or
+//     fmt.
 //
 //   - per-hop roots (guard's judgeStreamWindow): reachable functions
 //     may allocate a bounded amount per hop, but an allocation inside
@@ -53,6 +55,8 @@ var hotRootList = map[string]hotTier{
 	"(*repro/internal/dsp.SlidingRMS).Push":         tierSample,
 	"(*repro/internal/preprocess.StreamChain).Push": tierSample,
 	"(*repro/guard.StreamDetector).Push":            tierSample,
+	"(*repro/guard.streamGate).open":                tierSample,
+	"repro/guard.tallyFlags":                        tierSample,
 	"(*repro/guard.StreamDetector).completeHop":     tierHop,
 	"(*repro/guard.Detector).judgeStreamWindow":     tierHop,
 }
